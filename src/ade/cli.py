@@ -1,9 +1,13 @@
 """Command line interface.
 
-Each subcommand resolves its parameters in three layers: built-in defaults,
-then a key=value config file (`ADE_CONFIG` env var, overridden by
-`--config`), then explicit flags. Run manifests written next to the
-artifacts use the same keys, so a manifest replays through `--config`.
+Each subcommand is one table of `Param`s (see `ade.params`) plus the
+function that does its work. The table drives the flags, the layering
+(defaults, then the `ADE_CONFIG` file, then `--config`, then flags) and the
+manifest written into `--out`: `command`, every resolved param that is not
+None, then the input and output sha256 lines, so a manifest replays through
+`--config`. `--out`, `--config`, `--plot` and `--record` only choose where
+and which extra files to write, so they stay out of it. Params are resolved
+and checked before `--out` is created.
 
 Usage errors exit with 2 (argparse); engine and I/O failures print a single
 `ade: error: <kind>: <message>` line on stderr and exit 1.
@@ -15,118 +19,91 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, io, reverse
-from .corruption import (
-    CorruptionChain,
-    NoiseParams,
-    forward_chain,
-    precompute_dataset,
-)
+from .corruption import (CorruptionChain, NoiseParams, forward_chain,
+                         precompute_dataset)
 from .errors import EngineError, ValidationError
+from .params import REQUIRED, Param, add_flags, manifest, resolve
 from .rng import CounterRng
 from .schedule import DiffusionSchedule, fo_to_sigma, sigma_to_fo
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
 
-_SCHED_KEYS = [
-    ("steps", int, 8),
-    ("fo_min", float, None),
-    ("fo_max", float, None),
-    ("sigma_min", float, None),
-    ("sigma_max", float, None),
-    ("pe", float, 0.0),
-    ("tau_max", float, 1.0),
-    ("cap", float, 1e-3),
+CAP = Param("cap", float, 1e-3, "velocity cap")
+SEED = Param("seed", int, 0)
+PRECISION = Param("precision", str, "f64", choices=("f32", "f64"))
+SCHEDULE = [
+    Param("steps", int, 8, "number of corruption levels"),
+    Param("fo_min", float, None), Param("fo_max", float, None),
+    Param("sigma_min", float, None, "blur floor in pixels (default 0.5)"),
+    Param("sigma_max", float, None, "blur target in pixels (default L/4)"),
+    Param("pe", float, 0.0, "Peclet number"), Param("tau_max", float, 1.0),
+    CAP,
 ]
-_TURB_KEYS = [
-    ("slope", float, -2.0),
-    ("dt_turb", float, 1e-4),
-    ("sharpness", float, 1.0),
-]
+TURBULENCE = [Param("slope", float, -2.0, "spectral slope"),
+              Param("dt_turb", float, 1e-4), Param("sharpness", float, 1.0)]
+_DTYPES = {"f32": np.float32, "f64": np.float64}
+_SWITCHES = {"plot": "also write PGM previews",
+             "record": "also write trajectory.adet"}
 
 
-def _layers(args) -> dict[str, str]:
-    merged: dict[str, str] = {}
-    env_path = os.environ.get("ADE_CONFIG")
-    if env_path:
-        merged.update(io.read_config(env_path))
-    if getattr(args, "config", None):
-        merged.update(io.read_config(args.config))
-    return merged
+class Command(NamedTuple):
+    run: Callable  # (params, args, out dir or None) -> manifest hash lines
+    help: str
+    params: list
+    out: bool | None = None  # --out required (True), optional (False), none
+    switches: tuple = ()  # keys of _SWITCHES
 
 
-def _check_command(cfg: dict[str, str], name: str) -> None:
-    got = cfg.get("command")
-    if got is not None and got != name:
-        raise ValidationError(
-            f"config was written by command {got!r}, not {name!r}")
+COMMANDS: dict[str, Command] = {}
 
 
-def _resolve(args, cfg: dict[str, str], table) -> dict:
-    out = {}
-    for key, conv, default in table:
-        value = getattr(args, key, None)
-        if value is None and key in cfg:
-            try:
-                value = conv(cfg[key])
-            except ValueError:
-                raise ValidationError(
-                    f"bad config value for {key}: {cfg[key]!r}") from None
-        out[key] = default if value is None else value
-    return out
+def command(name, *spec, **kw):
+    """Register the decorated function as subcommand `name`."""
+    def register(run):
+        COMMANDS[name] = Command(run, *spec, **kw)
+        return run
+    return register
 
 
-def _make_schedule(p: dict, length: float) -> DiffusionSchedule:
-    has_fo = p["fo_min"] is not None or p["fo_max"] is not None
-    has_sigma = p["sigma_min"] is not None or p["sigma_max"] is not None
-    if has_fo and has_sigma:
-        raise ValidationError("give Fo bounds or sigma bounds, not both")
-    if has_fo:
-        if p["fo_min"] is None or p["fo_max"] is None:
+def _outputs(out: Path, *names: str) -> dict[str, str]:
+    return {f"output.{n}": io.file_sha256(out / n) for n in names}
+
+
+def _make_schedule(p: dict, width: int) -> DiffusionSchedule:
+    """Schedule for L = the `length` param, else the image width."""
+    length = float(width) if p.get("length") is None else p["length"]
+    fo = (p["fo_min"], p["fo_max"])
+    if fo != (None, None):
+        if (p["sigma_min"], p["sigma_max"]) != (None, None):
+            raise ValidationError("give Fo bounds or sigma bounds, not both")
+        if None in fo:
             raise ValidationError("need both fo_min and fo_max")
-        fo_min, fo_max = p["fo_min"], p["fo_max"]
     else:
         sigma_min = 0.5 if p["sigma_min"] is None else p["sigma_min"]
         sigma_max = length / 4.0 if p["sigma_max"] is None else p["sigma_max"]
-        fo_min = sigma_to_fo(sigma_min, length)
-        fo_max = sigma_to_fo(sigma_max, length)
-    return DiffusionSchedule.build(fo_min, fo_max, p["steps"], length,
-                                   peclet=p["pe"], tau_max=p["tau_max"],
-                                   cap=p["cap"])
+        fo = (sigma_to_fo(sigma_min, length), sigma_to_fo(sigma_max, length))
+    return DiffusionSchedule.build(*fo, p["steps"], length, peclet=p["pe"],
+                                   tau_max=p["tau_max"], cap=p["cap"])
 
 
-def _schedule_manifest(schedule: DiffusionSchedule) -> dict[str, object]:
-    return {
-        "steps": schedule.chain_length,
-        "fo_min": repr(schedule.levels[0]),
-        "fo_max": repr(schedule.levels[-1]),
-        "pe": repr(schedule.peclet),
-        "tau_max": repr(schedule.tau_max),
-        "cap": repr(schedule.cap),
-    }
+def _turbulence(p: dict, size: int) -> TurbulenceSpec:
+    return TurbulenceSpec(size=size, slope=p["slope"], dt_turb=p["dt_turb"],
+                          cap=p["cap"], sharpness=p["sharpness"])
 
 
-def _dtype_for(precision: str):
-    if precision == "f32":
-        return np.float32
-    if precision == "f64":
-        return np.float64
-    raise ValidationError(
-        f"precision must be f32 or f64, got {precision!r}")
+def _flow(p: dict, shape: tuple) -> TurbulenceSpec | None:
+    """Turbulence for a [C, H, W] stack; None where the chain has no flow."""
+    flows = p["pe"] > 0.0 and shape[1] == shape[2]
+    return _turbulence(p, shape[1]) if flows else None
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_schedule(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "schedule")
-    p = _resolve(args, cfg, _SCHED_KEYS + [("length", float, 64.0)])
+@command("schedule", "print a corruption schedule", SCHEDULE + [
+    Param("length", float, 64.0, "characteristic length L in nodes")])
+def cmd_schedule(p, args, out):
     schedule = _make_schedule(p, p["length"])
     for k, (fo, iv) in enumerate(zip(schedule.levels, schedule.intervals),
                                  start=1):
@@ -136,203 +113,117 @@ def cmd_schedule(args) -> int:
     print(f"levels={schedule.chain_length} "
           f"total_lattice_steps={schedule.lattice_steps} "
           f"fo_max={schedule.levels[-1]!r}")
-    return 0
+    return {}
 
 
-def cmd_gen_velocity(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "gen-velocity")
-    p = _resolve(args, cfg, _TURB_KEYS + [
-        ("size", int, None), ("seed", int, 0), ("vel_steps", int, 1),
-        ("rms", float, 1e-3), ("cap", float, 1e-3)])
-    if p["size"] is None:
-        raise ValidationError("missing --size")
-    out = _out_dir(args)
-    spec = TurbulenceSpec(size=p["size"], slope=p["slope"],
-                          dt_turb=p["dt_turb"], cap=p["cap"],
-                          sharpness=p["sharpness"])
-    gen = TurbulenceGenerator(spec, p["seed"])
+@command("gen-velocity", "write turbulence snapshots", TURBULENCE + [
+    Param("size", int, REQUIRED, "grid size N"), SEED,
+    Param("vel_steps", int, 1, "number of time snapshots"),
+    Param("rms", float, 1e-3, "target RMS speed"), CAP],
+    out=True, switches=("plot",))
+def cmd_gen_velocity(p, args, out):
+    gen = TurbulenceGenerator(_turbulence(p, p["size"]), p["seed"])
     fields = np.stack([np.stack(gen.generate(t, p["rms"]))
                        for t in range(p["vel_steps"])])
     io.write_tensor(out / "velocity.adet", fields)
+    speed = np.sqrt(fields[:, 0] ** 2 + fields[:, 1] ** 2)
     if args.plot:
         for t in range(p["vel_steps"]):
-            speed = np.sqrt(fields[t, 0] ** 2 + fields[t, 1] ** 2)
-            io.write_heatmap(out / f"speed_{t}.pgm", speed)
-    manifest = {
-        "command": "gen-velocity", "size": p["size"], "seed": p["seed"],
-        "vel_steps": p["vel_steps"], "rms": repr(p["rms"]),
-        "slope": repr(p["slope"]), "dt_turb": repr(p["dt_turb"]),
-        "cap": repr(p["cap"]), "sharpness": repr(p["sharpness"]),
-        "output.velocity.adet": io.file_sha256(out / "velocity.adet"),
-    }
-    io.write_config(out / "manifest.txt", manifest)
+            io.write_heatmap(out / f"speed_{t}.pgm", speed[t])
     print(f"velocity.adet shape={fields.shape} "
-          f"max_speed={float(np.sqrt(fields[:, 0]**2 + fields[:, 1]**2).max())!r}")
-    return 0
+          f"max_speed={float(speed.max())!r}")
+    return _outputs(out, "velocity.adet")
 
 
-def _turbulence_from(p: dict, size: int, cap: float) -> TurbulenceSpec:
-    return TurbulenceSpec(size=size, slope=p["slope"],
-                          dt_turb=p["dt_turb"], cap=cap,
-                          sharpness=p["sharpness"])
-
-
-def cmd_corrupt(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "corrupt")
-    p = _resolve(args, cfg, _SCHED_KEYS + _TURB_KEYS + [
-        ("in_path", str, None), ("seed", int, 0),
-        ("precision", str, "f64")])
-    if p["in_path"] is None:
-        raise ValidationError("missing --in image path")
-    out = _out_dir(args)
+@command("corrupt", "corrupt one image into a chain", SCHEDULE + TURBULENCE + [
+    Param("in_path", str, REQUIRED, "PGM/PPM image", flag="--in"), SEED,
+    PRECISION], out=True, switches=("plot",))
+def cmd_corrupt(p, args, out):
     stack, _ = io.read_image(p["in_path"])
-    _, height, width = stack.shape
-    schedule = _make_schedule(p, float(width))
-    turb = None
-    if p["pe"] > 0.0 and height == width:
-        turb = _turbulence_from(p, height, p["cap"])
-    chain = forward_chain(stack, schedule, p["seed"], turbulence=turb,
-                          dtype=_dtype_for(p["precision"]))
-    io.write_tensor(out / "chain.adet", chain.snapshots)
-    if args.plot:
-        for k in range(chain.snapshots.shape[0]):
-            io.write_image(out / f"snapshot_{k}.pgm",
-                           np.clip(chain.snapshots[k], 0.0, 1.0))
-    manifest: dict[str, object] = {"command": "corrupt",
-                                   "in_path": p["in_path"]}
-    manifest.update(_schedule_manifest(schedule))
-    manifest.update({
-        "seed": p["seed"], "precision": p["precision"],
-        "slope": repr(p["slope"]), "dt_turb": repr(p["dt_turb"]),
-        "sharpness": repr(p["sharpness"]),
-        "input_sha256": io.file_sha256(p["in_path"]),
-        "output.chain.adet": io.file_sha256(out / "chain.adet"),
-    })
-    io.write_config(out / "manifest.txt", manifest)
-    print(f"chain.adet shape={chain.snapshots.shape} "
+    schedule = _make_schedule(p, stack.shape[2])
+    snaps = forward_chain(stack, schedule, p["seed"],
+                          turbulence=_flow(p, stack.shape),
+                          dtype=_DTYPES[p["precision"]]).snapshots
+    io.write_tensor(out / "chain.adet", snaps)
+    if args.plot:  # write_image clamps to [0, 1]
+        for k in range(snaps.shape[0]):
+            io.write_image(out / f"snapshot_{k}.pgm", snaps[k])
+    print(f"chain.adet shape={snaps.shape} "
           f"lattice_steps={schedule.lattice_steps}")
-    return 0
+    return {"input_sha256": io.file_sha256(p["in_path"]),
+            **_outputs(out, "chain.adet")}
 
 
-def cmd_chain(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "chain")
-    p = _resolve(args, cfg, _SCHED_KEYS + _TURB_KEYS + [
-        ("in_dir", str, None), ("seed", int, 0),
-        ("precision", str, "f64"), ("workers", int, 1),
-        ("length", float, None)])
-    if p["in_dir"] is None:
-        raise ValidationError("missing --in-dir")
-    out = _out_dir(args)
-    names = sorted(q.name for q in Path(p["in_dir"]).iterdir()
-                   if q.suffix.lower() in (".pgm", ".ppm"))
-    if not names:
-        raise ValidationError(f"no .pgm/.ppm images in {p['in_dir']}")
-    first, _ = io.read_image(Path(p["in_dir"]) / names[0])
-    length = p["length"] if p["length"] is not None else float(
-        first.shape[2])
-    schedule = _make_schedule(p, length)
-    turb = None
-    if p["pe"] > 0.0 and first.shape[1] == first.shape[2]:
-        turb = _turbulence_from(p, first.shape[1], p["cap"])
-    extra = {"in_dir": p["in_dir"], "length": repr(length),
-             "fo_min": repr(schedule.levels[0]),
-             "fo_max": repr(schedule.levels[-1]),
-             "workers": p["workers"],
-             "slope": repr(p["slope"]), "dt_turb": repr(p["dt_turb"]),
-             "sharpness": repr(p["sharpness"])}
-    report = precompute_dataset(p["in_dir"], out, schedule, p["seed"],
-                                turbulence=turb,
-                                dtype=_dtype_for(p["precision"]),
-                                workers=p["workers"], manifest_extra=extra)
+@command("chain", "corrupt a directory of images", SCHEDULE + TURBULENCE + [
+    Param("in_dir", str, REQUIRED, "directory of PGM/PPM images"), SEED,
+    PRECISION, Param("workers", int, 1, "thread pool size"),
+    Param("length", float, None, "override L (default: image width)")],
+    out=True)
+def cmd_chain(p, args, out):
+    # schedule and flow follow the first readable image of the one scan
+    report = precompute_dataset(p["in_dir"], out,
+                                lambda shape: _make_schedule(p, shape[2]),
+                                p["seed"],
+                                turbulence=lambda shape: _flow(p, shape),
+                                dtype=_DTYPES[p["precision"]],
+                                workers=p["workers"])
     print(f"written={len(report['written'])} errors={len(report['errors'])} "
-          f"manifest={report['manifest']}")
+          f"manifest={out / 'manifest.txt'}")
+    lines = {f"output.{n}": sha for n, sha in report["written"].items()}
     for name, message in report["errors"].items():
         print(f"error {name}: {message}", file=sys.stderr)
-    return 0
+        lines[f"error.{name}"] = message.replace("\n", " ")
+    return lines
 
 
-def cmd_reverse(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "reverse")
-    p = _resolve(args, cfg, [
-        ("chain_path", str, None), ("predictor", str, "oracle"),
-        ("sigma_s", float, None), ("seed", int, 0),
-        ("timeout", float, 30.0)])
-    if p["chain_path"] is None:
-        raise ValidationError("missing --chain tensor path")
-    out = _out_dir(args)
-    snaps = io.read_tensor(p["chain_path"])
-    if snaps.ndim not in (3, 4) or snaps.shape[0] < 2:
-        raise ValidationError(
-            f"chain tensor must be [K+1, (C,) H, W] with K >= 1, "
-            f"got {snaps.shape}")
-    chain = CorruptionChain(snaps)
-    sigma = (NoiseParams().sigma_sample if p["sigma_s"] is None
-             else p["sigma_s"])
+@command("reverse", "sample back from a chain prior", [
+    Param("chain_path", str, REQUIRED, "chain tensor", flag="--chain"),
+    Param("predictor", str, "oracle", "oracle | zero | extern:<dir>"),
+    Param("sigma_s", float, NoiseParams().sigma_sample, "sampling noise"),
+    SEED, Param("timeout", float, 30.0, "extern predictor timeout in s")],
+    out=True, switches=("record", "plot"))
+def cmd_reverse(p, args, out):
     name = p["predictor"]
-    if name == "oracle":
-        predictor = reverse.OraclePredictor(chain)
-    elif name == "zero":
-        predictor = reverse.ZeroPredictor()
-    elif name.startswith("extern:"):
-        predictor = reverse.ExternPredictor(name.split(":", 1)[1],
-                                            timeout=p["timeout"])
-    else:
+    if name not in ("oracle", "zero") and not name.startswith("extern:"):
         raise ValidationError(
             f"predictor must be oracle, zero or extern:<dir>, got {name!r}")
-    rng = CounterRng(p["seed"], 0)
+    snaps = io.read_tensor(p["chain_path"])
+    if snaps.ndim not in (3, 4) or snaps.shape[0] < 2:
+        raise ValidationError(f"chain tensor must be [K+1, (C,) H, W] with "
+                              f"K >= 1, got {snaps.shape}")
+    chain = CorruptionChain(snaps)
+    predictor = (reverse.OraclePredictor(chain) if name == "oracle"
+                 else reverse.ZeroPredictor() if name == "zero"
+                 else reverse.ExternPredictor(name.split(":", 1)[1],
+                                              timeout=p["timeout"]))
     result = reverse.sample(chain.prior, predictor, chain.chain_length,
-                            sigma, rng, record=args.record)
+                            p["sigma_s"], CounterRng(p["seed"], 0),
+                            record=args.record)
+    recon = result[0] if args.record else result
     if args.record:
-        recon, trajectory = result
-        io.write_tensor(out / "trajectory.adet", trajectory)
-    else:
-        recon = result
+        io.write_tensor(out / "trajectory.adet", result[1])
     io.write_tensor(out / "recon.adet", recon)
     if args.plot:
-        io.write_image(out / "recon.pgm",
-                       np.clip(recon if recon.ndim == 3 else recon[None],
-                               0.0, 1.0))
-    err = float(np.abs(recon - snaps[0]).max())
-    manifest = {
-        "command": "reverse", "chain_path": p["chain_path"],
-        "predictor": name, "sigma_s": repr(sigma), "seed": p["seed"],
-        "output.recon.adet": io.file_sha256(out / "recon.adet"),
-    }
-    io.write_config(out / "manifest.txt", manifest)
-    print(f"max_abs_error={err!r}")
-    return 0
+        io.write_image(out / "recon.pgm", recon)
+    print(f"max_abs_error={float(np.abs(recon - snaps[0]).max())!r}")
+    return _outputs(out, "recon.adet")
 
 
-def _load_field(path: str) -> np.ndarray:
-    if path.endswith(".adet"):
-        arr = io.read_tensor(path)
-        while arr.ndim > 2:
-            arr = arr[0]
-        return arr
-    stack, _ = io.read_image(path)
-    return stack[0]
-
-
-def cmd_spectrum(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "spectrum")
-    p = _resolve(args, cfg, [
-        ("in_path", str, None), ("fit_lo", int, None),
-        ("fit_hi", int, None)])
-    if p["in_path"] is None:
-        raise ValidationError("missing --in field path")
-    field = _load_field(p["in_path"])
+@command("spectrum", "radial energy spectrum and slope", [
+    Param("in_path", str, REQUIRED, "PGM/PPM image or .adet tensor",
+          flag="--in"),
+    Param("fit_lo", int, None), Param("fit_hi", int, None)],
+    out=False, switches=("plot",))
+def cmd_spectrum(p, args, out):
+    path = p["in_path"]
+    stack = io.read_tensor(path) if path.endswith(".adet") else (
+        io.read_image(path)[0])
+    field = stack[(0,) * (stack.ndim - 2)]  # first of every leading axis
     profile = analysis.radial_energy_spectrum(field)
     n = min(field.shape)
     lo, hi = analysis.default_fit_band(n, 2.0 * np.pi / n, np.pi * n)
-    if p["fit_lo"] is not None:
-        lo = p["fit_lo"]
-    if p["fit_hi"] is not None:
-        hi = p["fit_hi"]
+    lo = lo if p["fit_lo"] is None else p["fit_lo"]
+    hi = hi if p["fit_hi"] is None else p["fit_hi"]
     print(f"total_energy={profile.total!r} dc={profile.dc!r}")
     try:
         energy_fit = analysis.fit_loglog_slope(profile, (lo, hi))
@@ -341,35 +232,28 @@ def cmd_spectrum(args) -> int:
               f"amplitude_slope={amp_fit.slope!r}")
     except EngineError as exc:
         print(f"band=[{lo},{hi}] fit_skipped={exc}")
-    if args.out:
-        out = _out_dir(args)
-        rows = ["# m kappa energy count"]
-        for m, kappa, energy, count in zip(profile.k_index, profile.kappa,
-                                           profile.energy, profile.counts):
-            rows.append(f"{m} {kappa!r} {energy!r} {count}")
-        io.atomic_write_bytes(out / "spectrum.txt",
-                              ("\n".join(rows) + "\n").encode())
-        if args.plot:
-            f = np.fft.fftshift(np.abs(np.fft.fft2(field)))
-            io.write_heatmap(out / "spectrum.pgm", np.log1p(f))
-    return 0
+    if out is None:
+        return {}
+    rows = ["# m kappa energy count"] + [
+        f"{m} {kappa!r} {energy!r} {count}" for m, kappa, energy, count in
+        zip(profile.k_index, profile.kappa, profile.energy, profile.counts)]
+    io.atomic_write_bytes(out / "spectrum.txt",
+                          ("\n".join(rows) + "\n").encode())
+    if args.plot:
+        f = np.fft.fftshift(np.abs(np.fft.fft2(field)))
+        io.write_heatmap(out / "spectrum.pgm", np.log1p(f))
+    return _outputs(out, "spectrum.txt")
 
 
-def cmd_audit(args) -> int:
-    cfg = _layers(args)
-    _check_command(cfg, "audit")
-    p = _resolve(args, cfg, [("chain_path", str, None)])
-    if p["chain_path"] is None:
-        raise ValidationError("missing --chain tensor path")
-    snaps = io.read_tensor(p["chain_path"])
-    report = analysis.mass_audit(snaps)
+@command("audit", "mass-conservation report for a chain", [
+    Param("chain_path", str, REQUIRED, "chain tensor", flag="--chain")])
+def cmd_audit(p, args, out):
+    report = analysis.mass_audit(io.read_tensor(p["chain_path"]))
     for k in range(report.totals.shape[0]):
-        drift = report.drift[k]
-        worst = float("nan") if np.all(np.isnan(drift)) else float(
-            np.nanmax(drift))
+        worst = float(np.fmax.reduce(report.drift[k]))  # NaN only if all are
         print(f"k={k} total={float(report.totals[k].sum())!r} drift={worst!r}")
     print(f"max_drift={report.max_drift!r}")
-    return 0
+    return {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,122 +262,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice Boltzmann advection-diffusion corruption "
                     "chains with spectral turbulence.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", default=None,
-                        help="key=value config file (flags override)")
-
-    def sched_flags(sp):
-        sp.add_argument("--steps", type=int, default=None,
-                        help="number of corruption levels (default 8)")
-        sp.add_argument("--fo-min", dest="fo_min", type=float, default=None)
-        sp.add_argument("--fo-max", dest="fo_max", type=float, default=None)
-        sp.add_argument("--sigma-min", dest="sigma_min", type=float,
-                        default=None, help="blur floor in pixels (default 0.5)")
-        sp.add_argument("--sigma-max", dest="sigma_max", type=float,
-                        default=None, help="blur target in pixels (default L/4)")
-        sp.add_argument("--pe", type=float, default=None,
-                        help="Peclet number (default 0)")
-        sp.add_argument("--tau-max", dest="tau_max", type=float, default=None)
-        sp.add_argument("--cap", type=float, default=None,
-                        help="velocity cap (default 1e-3)")
-
-    def turb_flags(sp):
-        sp.add_argument("--slope", type=float, default=None,
-                        help="spectral slope (default -2)")
-        sp.add_argument("--dt-turb", dest="dt_turb", type=float, default=None)
-        sp.add_argument("--sharpness", type=float, default=None)
-
-    sp = sub.add_parser("schedule", help="print a corruption schedule")
-    common(sp)
-    sched_flags(sp)
-    sp.add_argument("--length", type=float, default=None,
-                    help="characteristic length L in nodes (default 64)")
-    sp.set_defaults(func=cmd_schedule)
-
-    sp = sub.add_parser("gen-velocity", help="write turbulence snapshots")
-    common(sp)
-    turb_flags(sp)
-    sp.add_argument("--size", type=int, default=None, help="grid size N")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--vel-steps", dest="vel_steps", type=int, default=None,
-                    help="number of time snapshots (default 1)")
-    sp.add_argument("--rms", type=float, default=None,
-                    help="target RMS speed (default 1e-3)")
-    sp.add_argument("--cap", type=float, default=None)
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--plot", action="store_true")
-    sp.set_defaults(func=cmd_gen_velocity)
-
-    sp = sub.add_parser("corrupt", help="corrupt one image into a chain")
-    common(sp)
-    sched_flags(sp)
-    turb_flags(sp)
-    sp.add_argument("--in", dest="in_path", default=None, help="PGM/PPM image")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--precision", choices=("f32", "f64"), default=None)
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--plot", action="store_true",
-                    help="also write snapshot_<k>.pgm previews")
-    sp.set_defaults(func=cmd_corrupt)
-
-    sp = sub.add_parser("chain", help="corrupt a directory of images")
-    common(sp)
-    sched_flags(sp)
-    turb_flags(sp)
-    sp.add_argument("--in-dir", dest="in_dir", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--precision", choices=("f32", "f64"), default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--length", type=float, default=None,
-                    help="override L (default: image width)")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_chain)
-
-    sp = sub.add_parser("reverse", help="sample back from a chain prior")
-    common(sp)
-    sp.add_argument("--chain", dest="chain_path", default=None)
-    sp.add_argument("--predictor", default=None,
-                    help="oracle | zero | extern:<dir> (default oracle)")
-    sp.add_argument("--sigma-s", dest="sigma_s", type=float, default=None,
-                    help="sampling noise scale (default 0.01/1.25)")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--timeout", type=float, default=None,
-                    help="extern predictor timeout in seconds")
-    sp.add_argument("--record", action="store_true",
-                    help="also write trajectory.adet")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--plot", action="store_true")
-    sp.set_defaults(func=cmd_reverse)
-
-    sp = sub.add_parser("spectrum", help="radial energy spectrum and slope")
-    common(sp)
-    sp.add_argument("--in", dest="in_path", default=None,
-                    help="PGM/PPM image or .adet tensor")
-    sp.add_argument("--fit-lo", dest="fit_lo", type=int, default=None)
-    sp.add_argument("--fit-hi", dest="fit_hi", type=int, default=None)
-    sp.add_argument("--out", default=None,
-                    help="directory for spectrum.txt")
-    sp.add_argument("--plot", action="store_true",
-                    help="also write a log-power heatmap")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("audit", help="mass-conservation report for a chain")
-    common(sp)
-    sp.add_argument("--chain", dest="chain_path", default=None)
-    sp.set_defaults(func=cmd_audit)
-
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.add_argument("--config", help="key=value file (flags override)")
+        add_flags(sp, cmd.params)
+        if cmd.out is not None:
+            sp.add_argument("--out", required=cmd.out, help="output directory")
+        for switch in cmd.switches:
+            sp.add_argument(f"--{switch}", action="store_true",
+                            help=_SWITCHES[switch])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cmd = COMMANDS[args.command]
+        p = resolve(args.command, cmd.params, args,
+                    (os.environ.get("ADE_CONFIG"), args.config))
+        out = Path(args.out) if getattr(args, "out", None) else None
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        lines = cmd.run(p, args, out)
+        if out is not None:
+            io.write_config(out / "manifest.txt",
+                            manifest(args.command, p, lines))
+        return 0
     except (EngineError, OSError) as exc:
         message = str(exc).replace("\n", " ")
-        print(f"ade: error: {type(exc).__name__}: {message}",
-              file=sys.stderr)
+        print(f"ade: error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -9,6 +9,7 @@ chain; it is added on the fly when a pair is requested.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,21 +203,24 @@ def regression_loss(delta_pred: np.ndarray,
 
 
 def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
-                       schedule: DiffusionSchedule, seed: int,
-                       turbulence: TurbulenceSpec | None = None,
-                       dtype=np.float64, workers: int = 1,
-                       manifest_extra: dict | None = None) -> dict:
+                       schedule: DiffusionSchedule | Callable[
+                           [tuple], DiffusionSchedule],
+                       seed: int,
+                       turbulence: TurbulenceSpec | None | Callable[
+                           [tuple], TurbulenceSpec | None] = None,
+                       dtype=np.float64, workers: int = 1) -> dict:
     """Corrupt every PGM/PPM image in input_dir into per-image chain files.
 
     Image i (sorted by name) uses the derived seed (seed, i), so any subset
     can be regenerated independently. The first readable image fixes the
     expected [C, H, W]; unreadable or mismatched files are recorded as
-    errors and the batch continues. Returns a report dict with `written`,
-    `errors` and the manifest path.
+    errors and the batch continues. `schedule` and `turbulence` may each be
+    given as a function of that [C, H, W] shape, for recipes that depend
+    on the image size. Returns a report dict with `written` (chain file
+    name -> sha256) and `errors` (image name -> message).
     """
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = sorted(p.name for p in input_dir.iterdir()
                    if p.suffix.lower() in (".pgm", ".ppm"))
     if not names:
@@ -240,6 +244,10 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
         loaded.append((index, name, stack))
     if ref_shape is None:
         raise ValidationError(f"no readable images in {input_dir}")
+    if callable(schedule):
+        schedule = schedule(ref_shape)
+    if callable(turbulence):
+        turbulence = turbulence(ref_shape)
 
     def run(item):
         index, name, stack = item
@@ -253,29 +261,10 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
     else:
         results = [run(item) for item in loaded]
 
-    written = []
-    manifest: dict[str, object] = {"command": "chain"}
-    manifest.update(manifest_extra or {})
-    manifest.update({
-        "steps": schedule.chain_length,
-        "pe": repr(schedule.peclet),
-        "tau_max": repr(schedule.tau_max),
-        "cap": repr(schedule.cap),
-        "seed": seed,
-        "precision": "f32" if np.dtype(dtype) == np.float32 else "f64",
-        "levels": ",".join(repr(v) for v in schedule.levels),
-    })
-    if turbulence is not None:
-        manifest["slope"] = repr(turbulence.slope)
-        manifest["dt_turb"] = repr(turbulence.dt_turb)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: dict[str, str] = {}
     for name, snaps in results:
         out_name = Path(name).stem + "_chain.adet"
         io.write_tensor(out_dir / out_name, snaps)
-        written.append(out_name)
-        manifest[f"output.{out_name}"] = io.file_sha256(out_dir / out_name)
-    for name, message in errors.items():
-        manifest[f"error.{name}"] = message.replace("\n", " ")
-    manifest_path = out_dir / "manifest.txt"
-    io.write_config(manifest_path, manifest)
-    return {"written": written, "errors": errors,
-            "manifest": str(manifest_path)}
+        written[out_name] = io.file_sha256(out_dir / out_name)
+    return {"written": written, "errors": errors}

@@ -11,6 +11,7 @@ row-major payload.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -69,7 +70,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     dims = struct.unpack_from(f"<{ndim}Q", blob, 13)
     start = 13 + 8 * ndim
     dtype = _DTYPE_CODES[code]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
     if len(blob) - start != expected:
         raise FormatError(
             f"payload is {len(blob) - start} bytes, expected {expected}",
@@ -186,7 +187,11 @@ def read_config(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
     offset = 0
     for line in Path(path).read_bytes().splitlines(keepends=True):
-        text = line.decode("utf-8").strip()
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise FormatError("config is not UTF-8 text",
+                              offset=offset + exc.start) from None
         if text and not text.startswith("#"):
             if "=" not in text:
                 raise FormatError(f"expected key=value, got {text!r}",

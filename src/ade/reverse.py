@@ -51,7 +51,8 @@ class ExternPredictor:
     For step k the sampler writes `step_<k>_input.adet` into `directory`
     and polls for `step_<k>_delta.adet`. The partner should write its
     answer atomically (temp file + rename); half-written answers are
-    retried until `timeout` seconds elapse.
+    retried until `timeout` seconds elapse. A `step_<k>_delta.adet` left by
+    an earlier run is removed before the input is written.
     """
 
     def __init__(self, directory: str | Path, timeout: float = 30.0,
@@ -62,9 +63,10 @@ class ExternPredictor:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def predict(self, u_hat: np.ndarray, k: int) -> np.ndarray:
+        answer = self.directory / f"step_{k}_delta.adet"
+        answer.unlink(missing_ok=True)  # an earlier run's answer is stale
         io.write_tensor(self.directory / f"step_{k}_input.adet",
                         np.asarray(u_hat, dtype=np.float64))
-        answer = self.directory / f"step_{k}_delta.adet"
         deadline = time.monotonic() + self.timeout
         while True:
             if answer.exists():

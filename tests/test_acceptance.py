@@ -4,10 +4,6 @@ Each test pins its tolerances and seeds explicitly and prints a one-line
 measurement summary, so `pytest -v` doubles as the acceptance report.
 """
 
-import os
-import shutil
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -26,8 +22,6 @@ from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
 
 from heat_reference import heat_steps
 
-_ADE = ([shutil.which("ade")] if shutil.which("ade")
-        else [sys.executable, "-m", "ade.cli"])
 
 
 def test_criterion_1_equilibrium_moments():
@@ -248,38 +242,36 @@ def test_criterion_8_high_band_energy_decays_monotonically():
     assert elapsed < 20.0
 
 
-def _cli(args, cwd, env_extra=None):
-    env = os.environ.copy()
-    env.update(env_extra or {})
-    proc = subprocess.run(_ADE + args, cwd=cwd, env=env,
-                          capture_output=True, text=True)
+def _cli(run_ade, args, cwd, env_extra=None):
+    proc = run_ade(args, cwd, env_extra)
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def test_criterion_9_manifest_replay_is_byte_identical(tmp_path):
+def test_criterion_9_manifest_replay_is_byte_identical(tmp_path, run_ade):
     start = time.perf_counter()
     field = 0.3 + 0.4 * CounterRng(77, 0).uniforms(256).reshape(16, 16)
     io.write_image(tmp_path / "input.pgm", field[None], maxval=255)
-    _cli(["corrupt", "--in", "input.pgm", "--out", "run1", "--steps", "3",
-          "--sigma-max", "2", "--pe", "0.05", "--seed", "11"], tmp_path)
+    _cli(run_ade, ["corrupt", "--in", "input.pgm", "--out", "run1",
+                   "--steps", "3", "--sigma-max", "2", "--pe", "0.05",
+                   "--seed", "11"], tmp_path)
     sha1 = io.file_sha256(tmp_path / "run1" / "chain.adet")
 
-    _cli(["corrupt", "--config", "run1/manifest.txt", "--out", "run2"],
-         tmp_path)
+    _cli(run_ade, ["corrupt", "--config", "run1/manifest.txt",
+                   "--out", "run2"], tmp_path)
     assert io.file_sha256(tmp_path / "run2" / "chain.adet") == sha1
 
     threads = {"OMP_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "4",
                "MKL_NUM_THREADS": "4"}
-    _cli(["corrupt", "--config", "run1/manifest.txt", "--out", "run3"],
-         tmp_path, env_extra=threads)
+    _cli(run_ade, ["corrupt", "--config", "run1/manifest.txt",
+                   "--out", "run3"], tmp_path, env_extra=threads)
     assert io.file_sha256(tmp_path / "run3" / "chain.adet") == sha1
 
-    _cli(["reverse", "--chain", "run1/chain.adet", "--out", "rev1",
-          "--seed", "5"], tmp_path)
+    _cli(run_ade, ["reverse", "--chain", "run1/chain.adet", "--out", "rev1",
+                   "--seed", "5"], tmp_path)
     sha_rev = io.file_sha256(tmp_path / "rev1" / "recon.adet")
-    _cli(["reverse", "--config", "rev1/manifest.txt", "--out", "rev2"],
-         tmp_path, env_extra=threads)
+    _cli(run_ade, ["reverse", "--config", "rev1/manifest.txt",
+                   "--out", "rev2"], tmp_path, env_extra=threads)
     assert io.file_sha256(tmp_path / "rev2" / "recon.adet") == sha_rev
 
     elapsed = time.perf_counter() - start

@@ -1,23 +1,12 @@
-import os
-import shutil
-import subprocess
-import sys
+import struct
 
 import numpy as np
 import pytest
 
-from ade import io
+from ade import cli, io
+from ade.params import resolve
 from ade.rng import CounterRng
 
-_ADE = ([shutil.which("ade")] if shutil.which("ade")
-        else [sys.executable, "-m", "ade.cli"])
-
-
-def _run(args, cwd, env_extra=None):
-    env = os.environ.copy()
-    env.update(env_extra or {})
-    return subprocess.run(_ADE + args, cwd=cwd, env=env,
-                          capture_output=True, text=True)
 
 
 def _stdout_value(proc, key):
@@ -29,14 +18,14 @@ def _stdout_value(proc, key):
 
 
 @pytest.fixture(scope="module")
-def corrupt_run(tmp_path_factory):
+def corrupt_run(tmp_path_factory, run_ade):
     """One corrupt invocation reused by the replay and reverse tests."""
     root = tmp_path_factory.mktemp("cli")
     field = 0.3 + 0.4 * CounterRng(77, 0).uniforms(256).reshape(16, 16)
     io.write_image(root / "input.pgm", field[None], maxval=255)
-    proc = _run(["corrupt", "--in", "input.pgm", "--out", "run1",
-                 "--steps", "3", "--sigma-max", "2", "--pe", "0.05",
-                 "--seed", "11"], cwd=root)
+    proc = run_ade(["corrupt", "--in", "input.pgm", "--out", "run1",
+                    "--steps", "3", "--sigma-max", "2", "--pe", "0.05",
+                    "--seed", "11"], cwd=root)
     assert proc.returncode == 0, proc.stderr
     return root
 
@@ -51,34 +40,34 @@ def test_corrupt_writes_chain_and_manifest(corrupt_run):
         corrupt_run / "run1" / "chain.adet")
 
 
-def test_manifest_replay_is_byte_identical(corrupt_run):
-    proc = _run(["corrupt", "--config", "run1/manifest.txt",
-                 "--out", "run2"], cwd=corrupt_run)
+def test_manifest_replay_is_byte_identical(corrupt_run, run_ade):
+    proc = run_ade(["corrupt", "--config", "run1/manifest.txt",
+                    "--out", "run2"], cwd=corrupt_run)
     assert proc.returncode == 0, proc.stderr
     assert (io.file_sha256(corrupt_run / "run1" / "chain.adet")
             == io.file_sha256(corrupt_run / "run2" / "chain.adet"))
 
 
-def test_config_can_come_from_the_environment(corrupt_run):
-    proc = _run(["corrupt", "--out", "run3"], cwd=corrupt_run,
-                env_extra={"ADE_CONFIG": "run1/manifest.txt"})
+def test_config_can_come_from_the_environment(corrupt_run, run_ade):
+    proc = run_ade(["corrupt", "--out", "run3"], cwd=corrupt_run,
+                   env_extra={"ADE_CONFIG": "run1/manifest.txt"})
     assert proc.returncode == 0, proc.stderr
     assert (io.file_sha256(corrupt_run / "run1" / "chain.adet")
             == io.file_sha256(corrupt_run / "run3" / "chain.adet"))
 
 
-def test_flags_override_the_config(corrupt_run):
-    proc = _run(["corrupt", "--config", "run1/manifest.txt",
-                 "--out", "run4", "--seed", "12"], cwd=corrupt_run)
+def test_flags_override_the_config(corrupt_run, run_ade):
+    proc = run_ade(["corrupt", "--config", "run1/manifest.txt",
+                    "--out", "run4", "--seed", "12"], cwd=corrupt_run)
     assert proc.returncode == 0, proc.stderr
     assert (io.file_sha256(corrupt_run / "run1" / "chain.adet")
             != io.file_sha256(corrupt_run / "run4" / "chain.adet"))
     assert io.read_config(corrupt_run / "run4" / "manifest.txt")["seed"] == "12"
 
 
-def test_reverse_oracle_reconstructs(corrupt_run):
-    proc = _run(["reverse", "--chain", "run1/chain.adet", "--out", "rev",
-                 "--seed", "5", "--record", "--plot"], cwd=corrupt_run)
+def test_reverse_oracle_reconstructs(corrupt_run, run_ade):
+    proc = run_ade(["reverse", "--chain", "run1/chain.adet", "--out", "rev",
+                    "--seed", "5", "--record", "--plot"], cwd=corrupt_run)
     assert proc.returncode == 0, proc.stderr
     assert float(_stdout_value(proc, "max_abs_error")) == 0.0
     recon = io.read_tensor(corrupt_run / "rev" / "recon.adet")
@@ -89,25 +78,25 @@ def test_reverse_oracle_reconstructs(corrupt_run):
     assert (corrupt_run / "rev" / "recon.pgm").exists()
 
 
-def test_audit_reports_tiny_drift(corrupt_run):
-    proc = _run(["audit", "--chain", "run1/chain.adet"], cwd=corrupt_run)
+def test_audit_reports_tiny_drift(corrupt_run, run_ade):
+    proc = run_ade(["audit", "--chain", "run1/chain.adet"], cwd=corrupt_run)
     assert proc.returncode == 0, proc.stderr
     assert float(_stdout_value(proc, "max_drift")) < 1e-10
     # one line per snapshot plus the summary
     assert len(proc.stdout.splitlines()) == 5
 
 
-def test_command_key_guards_against_wrong_replay(corrupt_run):
-    proc = _run(["reverse", "--config", "run1/manifest.txt",
-                 "--out", "never"], cwd=corrupt_run)
+def test_command_key_guards_against_wrong_replay(corrupt_run, run_ade):
+    proc = run_ade(["reverse", "--config", "run1/manifest.txt",
+                    "--out", "never"], cwd=corrupt_run)
     assert proc.returncode == 1
     assert proc.stderr.startswith("ade: error:")
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-def test_schedule_prints_the_plan(tmp_path):
-    proc = _run(["schedule", "--length", "64", "--steps", "4",
-                 "--sigma-min", "0.5", "--sigma-max", "4"], cwd=tmp_path)
+def test_schedule_prints_the_plan(tmp_path, run_ade):
+    proc = run_ade(["schedule", "--length", "64", "--steps", "4",
+                    "--sigma-min", "0.5", "--sigma-max", "4"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("k=")]
     assert len(lines) == 4
@@ -116,10 +105,10 @@ def test_schedule_prints_the_plan(tmp_path):
     assert "sigma=4.0" in lines[-1]
 
 
-def test_gen_velocity_and_spectrum(tmp_path):
-    proc = _run(["gen-velocity", "--size", "32", "--vel-steps", "2",
-                 "--rms", "1e-4", "--seed", "3", "--out", "vel",
-                 "--plot"], cwd=tmp_path)
+def test_gen_velocity_and_spectrum(tmp_path, run_ade):
+    proc = run_ade(["gen-velocity", "--size", "32", "--vel-steps", "2",
+                    "--rms", "1e-4", "--seed", "3", "--out", "vel",
+                    "--plot"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     fields = io.read_tensor(tmp_path / "vel" / "velocity.adet")
     assert fields.shape == (2, 2, 32, 32)
@@ -127,8 +116,8 @@ def test_gen_velocity_and_spectrum(tmp_path):
     assert (tmp_path / "vel" / "speed_1.pgm").exists()
     assert float(_stdout_value(proc, "max_speed")) < 1e-3
 
-    proc = _run(["spectrum", "--in", "vel/velocity.adet", "--out", "spec",
-                 "--plot"], cwd=tmp_path)
+    proc = run_ade(["spectrum", "--in", "vel/velocity.adet", "--out", "spec",
+                    "--plot"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "total_energy=" in proc.stdout
     text = (tmp_path / "spec" / "spectrum.txt").read_text()
@@ -136,19 +125,169 @@ def test_gen_velocity_and_spectrum(tmp_path):
     assert (tmp_path / "spec" / "spectrum.pgm").exists()
 
 
-def test_usage_errors_exit_with_2(tmp_path):
-    assert _run([], cwd=tmp_path).returncode == 2
-    assert _run(["frobnicate"], cwd=tmp_path).returncode == 2
+def test_usage_errors_exit_with_2(tmp_path, run_ade):
+    assert run_ade([], cwd=tmp_path).returncode == 2
+    assert run_ade(["frobnicate"], cwd=tmp_path).returncode == 2
     # --out is argparse-required for corrupt
-    assert _run(["corrupt", "--in", "x.pgm"], cwd=tmp_path).returncode == 2
+    assert run_ade(["corrupt", "--in", "x.pgm"], cwd=tmp_path).returncode == 2
 
 
-def test_runtime_errors_are_one_line_and_exit_1(tmp_path):
-    proc = _run(["corrupt", "--in", "missing.pgm", "--out", "d"],
-                cwd=tmp_path)
+def test_runtime_errors_are_one_line_and_exit_1(tmp_path, run_ade):
+    proc = run_ade(["corrupt", "--in", "missing.pgm", "--out", "d"],
+                   cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("ade: error:")
     assert len(proc.stderr.strip().splitlines()) == 1
-    proc = _run(["reverse", "--out", "d"], cwd=tmp_path)
+    proc = run_ade(["reverse", "--out", "d"], cwd=tmp_path)
     assert proc.returncode == 1
     assert "chain" in proc.stderr
+
+
+# The tests below call ade.cli.main in-process: same exit codes, no
+# interpreter start-up per command.
+def _field_image(path, seed, n=16):
+    field = 0.3 + 0.4 * CounterRng(seed, 0).uniforms(n * n).reshape(n, n)
+    io.write_image(path, field[None], maxval=255)
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("ade: error:")
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ADE_CONFIG", raising=False)
+    return tmp_path
+
+
+_TURB = ["--slope", "-1.5", "--dt-turb", "2e-4", "--sharpness", "2"]
+# One case per artifact command: argv giving every table param a
+# non-default value, the files that must replay byte for byte, and the
+# params the case leaves out (Fo and sigma bounds exclude each other).
+_ROUND_TRIPS = {
+    "corrupt": (["corrupt", "--in", "a.pgm", "--steps", "3",
+                 "--sigma-min", "0.7", "--sigma-max", "2", "--pe", "0.05",
+                 "--tau-max", "0.9", "--cap", "2e-3", "--seed", "11",
+                 "--precision", "f32"] + _TURB,
+                ["chain.adet"], {"fo_min", "fo_max"}),
+    "chain": (["chain", "--in-dir", "in", "--steps", "2",
+               "--fo-min", "1e-3", "--fo-max", "4e-3", "--pe", "0.05",
+               "--tau-max", "0.9", "--cap", "2e-3", "--seed", "4",
+               "--precision", "f32", "--workers", "2", "--length", "20"]
+              + _TURB,
+              ["a_chain.adet", "b_chain.adet"], {"sigma_min", "sigma_max"}),
+    "reverse": (["reverse", "--chain", "chain.adet", "--predictor", "zero",
+                 "--sigma-s", "0.01", "--seed", "5", "--timeout", "3"],
+                ["recon.adet"], set()),
+    "gen-velocity": (["gen-velocity", "--size", "16", "--seed", "3",
+                      "--vel-steps", "2", "--rms", "2e-4", "--cap", "2e-3"]
+                     + _TURB,
+                     ["velocity.adet"], set()),
+    "spectrum": (["spectrum", "--in", "a.pgm", "--fit-lo", "1",
+                  "--fit-hi", "5"],
+                 ["spectrum.txt"], set()),
+}
+
+
+def _resolved(argv):
+    args = cli.build_parser().parse_args(argv)
+    return resolve(argv[0], cli.COMMANDS[argv[0]].params, args, [args.config])
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIPS))
+def test_manifest_replays_every_param(workdir, name):
+    argv, outputs, left_out = _ROUND_TRIPS[name]
+    _field_image(workdir / "a.pgm", 1)
+    (workdir / "in").mkdir()
+    _field_image(workdir / "in" / "a.pgm", 2)
+    _field_image(workdir / "in" / "b.pgm", 3)
+    io.write_tensor(workdir / "chain.adet",
+                    CounterRng(4, 0).uniforms(3 * 64).reshape(3, 1, 8, 8))
+    replay = [name, "--config", "run1/manifest.txt", "--out", "run2"]
+    resolved = _resolved(argv + ["--out", "x"])
+    assert cli.main(argv + ["--out", "run1"]) == 0
+    assert cli.main(replay) == 0
+    assert _resolved(replay) == resolved
+    first = io.read_config(workdir / "run1" / "manifest.txt")
+    for q in cli.COMMANDS[name].params:
+        if q.name not in left_out:
+            assert q.type(first[q.name]) == resolved[q.name] != q.default
+    assert io.read_config(workdir / "run2" / "manifest.txt") == first
+    for out_name in outputs:
+        assert ((workdir / "run1" / out_name).read_bytes()
+                == (workdir / "run2" / out_name).read_bytes())
+        assert first[f"output.{out_name}"] == io.file_sha256(
+            workdir / "run1" / out_name)
+
+
+# Written by `ade corrupt --in input.pgm --out run0 --steps 3
+# --sigma-min 0.7 --sigma-max 2 --seed 11 --tau-max 0.9 --precision f32`
+# in the earlier manifest format, which recorded the derived Fo bounds and
+# every turbulence key instead of the params as given.
+_OLD_CORRUPT_MANIFEST = """\
+command=corrupt
+in_path=input.pgm
+steps=3
+fo_min=0.0009570312499999999
+fo_max=0.0078125
+pe=0.0
+tau_max=0.9
+cap=0.001
+seed=11
+precision=f32
+slope=-2.0
+dt_turb=0.0001
+sharpness=1.0
+input_sha256=dedc568f52e93c100cf89eab8579567a7f29de7f337e26694c3b9f803cf69f23
+output.chain.adet=999428d693b328672bed0b662811494484b13726a28d265d1aaada74ed43a0a0
+"""
+
+
+def test_old_corrupt_manifest_still_replays(workdir):
+    field = 0.3 + 0.4 * CounterRng(77, 0).uniforms(256).reshape(16, 16)
+    io.write_image(workdir / "input.pgm", field[None], maxval=255)
+    (workdir / "old.txt").write_text(_OLD_CORRUPT_MANIFEST)
+    old = io.read_config(workdir / "old.txt")
+    assert io.file_sha256(workdir / "input.pgm") == old["input_sha256"]
+    assert cli.main(["corrupt", "--config", "old.txt", "--out", "run"]) == 0
+    assert (io.file_sha256(workdir / "run" / "chain.adet")
+            == old["output.chain.adet"])
+
+
+def test_chain_skips_an_unreadable_first_image(workdir, capsys):
+    (workdir / "in").mkdir()
+    (workdir / "in" / "a.pgm").write_bytes(b"not an image")
+    _field_image(workdir / "in" / "b.pgm", 11, n=12)
+    _field_image(workdir / "in" / "c.pgm", 12, n=12)
+    assert cli.main(["chain", "--in-dir", "in", "--out", "out",
+                     "--steps", "2", "--seed", "3"]) == 0
+    assert "error a.pgm:" in capsys.readouterr().err
+    assert sorted(p.name for p in (workdir / "out").glob("*_chain.adet")) == [
+        "b_chain.adet", "c_chain.adet"]
+    manifest = io.read_config(workdir / "out" / "manifest.txt")
+    assert manifest["command"] == "chain"
+    assert manifest["seed"] == "3"
+    assert "error.a.pgm" in manifest
+    assert manifest["output.b_chain.adet"] == io.file_sha256(
+        workdir / "out" / "b_chain.adet")
+    assert "output.c_chain.adet" in manifest
+
+
+def test_overflowing_tensor_header_is_one_error_line(workdir, capsys):
+    # dims (2**32, 2**32) multiply to 0 in int64: an empty payload
+    header = io.MAGIC + struct.pack("<IBI", io.VERSION, 1, 2)
+    (workdir / "big.adet").write_bytes(
+        header + struct.pack("<2Q", 2**32, 2**32))
+    assert cli.main(["audit", "--chain", "big.adet"]) == 1
+    assert "FormatError" in _one_error_line(capsys)
+
+
+def test_non_utf8_config_is_one_error_line(workdir, capsys):
+    (workdir / "bad.cfg").write_bytes(b"seed=1\nsteps=\xff\n")
+    assert cli.main(["corrupt", "--config", "bad.cfg", "--out", "d"]) == 1
+    err = _one_error_line(capsys)
+    assert "FormatError" in err and "(byte 13)" in err

@@ -167,3 +167,11 @@ def test_extern_predictor_times_out_without_a_partner(tmp_path):
     pred = ExternPredictor(tmp_path, timeout=0.05, poll_interval=0.01)
     with pytest.raises(PredictorTimeoutError):
         pred.predict(np.zeros((4, 4)), 1)
+
+
+def test_extern_predictor_ignores_a_stale_answer(tmp_path):
+    # an answer left by an earlier run in the same directory
+    io.write_tensor(tmp_path / "step_1_delta.adet", np.ones((4, 4)))
+    pred = ExternPredictor(tmp_path, timeout=0.05, poll_interval=0.01)
+    with pytest.raises(PredictorTimeoutError):
+        pred.predict(np.zeros((4, 4)), 1)
