@@ -73,16 +73,23 @@ def _outputs(out: Path, *names: str) -> dict[str, str]:
     return {f"output.{n}": io.file_sha256(out / n) for n in names}
 
 
-def _make_schedule(p: dict, width: int) -> DiffusionSchedule:
-    """Schedule for L = the `length` param, else the image width."""
-    length = float(width) if p.get("length") is None else p["length"]
-    fo = (p["fo_min"], p["fo_max"])
+def _check_bounds(p: dict) -> None:
+    """Fo bounds come in pairs and exclude sigma bounds. Needs no image, so
+    `main` checks it, for every command, before --out is made."""
+    fo = (p.get("fo_min"), p.get("fo_max"))
     if fo != (None, None):
-        if (p["sigma_min"], p["sigma_max"]) != (None, None):
+        if (p.get("sigma_min"), p.get("sigma_max")) != (None, None):
             raise ValidationError("give Fo bounds or sigma bounds, not both")
         if None in fo:
             raise ValidationError("need both fo_min and fo_max")
-    else:
+
+
+def _make_schedule(p: dict, width: int) -> DiffusionSchedule:
+    """Schedule for L = the `length` param, else the image width; the
+    bounds have passed `_check_bounds`."""
+    length = float(width) if p.get("length") is None else p["length"]
+    fo = (p["fo_min"], p["fo_max"])
+    if fo == (None, None):
         sigma_min = 0.5 if p["sigma_min"] is None else p["sigma_min"]
         sigma_max = length / 4.0 if p["sigma_max"] is None else p["sigma_max"]
         fo = (sigma_to_fo(sigma_min, length), sigma_to_fo(sigma_max, length))
@@ -156,7 +163,7 @@ def cmd_corrupt(p, args, out):
 
 @command("chain", "corrupt a directory of images", SCHEDULE + TURBULENCE + [
     Param("in_dir", str, REQUIRED, "directory of PGM/PPM images"), SEED,
-    PRECISION, Param("workers", int, 1, "thread pool size"),
+    PRECISION,
     Param("length", float, None, "override L (default: image width)")],
     out=True)
 def cmd_chain(p, args, out):
@@ -165,8 +172,7 @@ def cmd_chain(p, args, out):
                                 lambda shape: _make_schedule(p, shape[2]),
                                 p["seed"],
                                 turbulence=lambda shape: _flow(p, shape),
-                                dtype=_DTYPES[p["precision"]],
-                                workers=p["workers"])
+                                dtype=_DTYPES[p["precision"]])
     print(f"written={len(report['written'])} errors={len(report['errors'])} "
           f"manifest={out / 'manifest.txt'}")
     lines = {f"output.{n}": sha for n, sha in report["written"].items()}
@@ -280,6 +286,7 @@ def main(argv=None) -> int:
         cmd = COMMANDS[args.command]
         p = resolve(args.command, cmd.params, args,
                     (os.environ.get("ADE_CONFIG"), args.config))
+        _check_bounds(p)
         out = Path(args.out) if getattr(args, "out", None) else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)

@@ -2,25 +2,21 @@
 
 A chain runs the lattice solver through a DiffusionSchedule and stores the
 K + 1 macroscopic snapshots (clean field first, fully corrupted prior
-last). Channels evolve independently but share the velocity field, which is
-generated once per step. Training noise is never folded back into the
-chain; it is added on the fly when a pair is requested.
+last). The channels of an image step as one lattice state: they evolve
+independently but share the velocity field, generated once per step.
+Training noise is never folded back into the chain; it is added on the fly
+when a pair is requested.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    NonFiniteFieldError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import ShapeMismatchError, ValidationError
 from .lattice import (
     VelocityField,
     init_from_image,
@@ -82,35 +78,6 @@ class CorruptionChain:
         return self.snapshots[-1]
 
 
-class _SharedFlow:
-    """Velocity provider that caches the last generated step, so channels
-    stepping in lockstep reuse one synthesis per step."""
-
-    def __init__(self, gen: TurbulenceGenerator, rms: np.ndarray):
-        self._gen = gen
-        self._rms = rms
-        self._step = -1
-        self._field: VelocityField | None = None
-
-    def __call__(self, step: int) -> VelocityField:
-        if step != self._step:
-            self._field = self._gen.generate(step, float(self._rms[step]))
-            self._step = step
-        return self._field
-
-
-def _as_stack(u0: np.ndarray) -> np.ndarray:
-    u0 = np.asarray(u0)
-    if u0.ndim == 2:
-        u0 = u0[None]
-    if u0.ndim != 3:
-        raise ShapeMismatchError(
-            f"expected [C, H, W] or [H, W], got {u0.shape}")
-    if not np.all(np.isfinite(u0)):
-        raise NonFiniteFieldError("initial field contains NaN or Inf")
-    return u0
-
-
 def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
                   turbulence: TurbulenceSpec | None = None,
                   dtype=np.float64) -> CorruptionChain:
@@ -120,8 +87,11 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     square (the spectral generator is N x N); `turbulence` defaults to the
     grid-sized spec with the schedule's velocity cap.
     """
-    u0 = _as_stack(u0)
-    channels, height, width = u0.shape
+    u0 = np.asarray(u0)
+    if u0.ndim == 2:
+        u0 = u0[None]
+    state = init_from_image(u0, dtype=dtype)  # checks shape and values
+    height, width = state.shape
     taus, rms, boundaries = schedule.per_step()
     total = schedule.lattice_steps
     k_chain = schedule.chain_length
@@ -135,7 +105,9 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         elif turbulence.size != height:
             raise ShapeMismatchError(
                 f"turbulence size {turbulence.size} != grid {height}")
-        provider = _SharedFlow(TurbulenceGenerator(turbulence, seed), rms)
+        gen = TurbulenceGenerator(turbulence, seed)
+        provider = lambda step: gen.generate(  # noqa: E731
+            step, float(rms[step]))
     else:
         zero = np.zeros((height, width))
         still = VelocityField(zero, zero)
@@ -143,17 +115,15 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
 
     snaps = np.empty((k_chain + 1,) + u0.shape, dtype=np.dtype(dtype))
     snaps[0] = u0
-    states = [init_from_image(u0[c], dtype=dtype) for c in range(channels)]
 
     b = 1
     while b <= k_chain and boundaries[b] == 0:
         snaps[b] = snaps[0]
         b += 1
     for g in range(total):
-        for state in states:
-            solver_step(state, provider, float(taus[g]), g)
+        solver_step(state, provider, float(taus[g]), g)
         if b <= k_chain and boundaries[b] == g + 1:
-            current = np.stack([macro_update(s) for s in states])
+            current = macro_update(state)
             while b <= k_chain and boundaries[b] == g + 1:
                 snaps[b] = current
                 b += 1
@@ -208,7 +178,7 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
                        seed: int,
                        turbulence: TurbulenceSpec | None | Callable[
                            [tuple], TurbulenceSpec | None] = None,
-                       dtype=np.float64, workers: int = 1) -> dict:
+                       dtype=np.float64) -> dict:
     """Corrupt every PGM/PPM image in input_dir into per-image chain files.
 
     Image i (sorted by name) uses the derived seed (seed, i), so any subset
@@ -216,8 +186,9 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
     expected [C, H, W]; unreadable or mismatched files are recorded as
     errors and the batch continues. `schedule` and `turbulence` may each be
     given as a function of that [C, H, W] shape, for recipes that depend
-    on the image size. Returns a report dict with `written` (chain file
-    name -> sha256) and `errors` (image name -> message).
+    on the image size. Each chain is written as soon as it is done. Returns
+    a report dict with `written` (chain file name -> sha256) and `errors`
+    (image name -> message).
     """
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
@@ -227,7 +198,7 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
         raise ValidationError(f"no .pgm/.ppm images in {input_dir}")
 
     errors: dict[str, str] = {}
-    loaded: list[tuple[int, str, np.ndarray]] = []
+    written: dict[str, str] = {}
     ref_shape: tuple[int, ...] | None = None
     for index, name in enumerate(names):
         try:
@@ -237,34 +208,20 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
             continue
         if ref_shape is None:
             ref_shape = stack.shape
+            if callable(schedule):
+                schedule = schedule(ref_shape)
+            if callable(turbulence):
+                turbulence = turbulence(ref_shape)
+            out_dir.mkdir(parents=True, exist_ok=True)
         elif stack.shape != ref_shape:
             errors[name] = (
                 f"shape {stack.shape} does not match {ref_shape}")
             continue
-        loaded.append((index, name, stack))
-    if ref_shape is None:
-        raise ValidationError(f"no readable images in {input_dir}")
-    if callable(schedule):
-        schedule = schedule(ref_shape)
-    if callable(turbulence):
-        turbulence = turbulence(ref_shape)
-
-    def run(item):
-        index, name, stack = item
         chain = forward_chain(stack, schedule, derive_seed(seed, index),
                               turbulence=turbulence, dtype=dtype)
-        return name, chain.snapshots
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, loaded))
-    else:
-        results = [run(item) for item in loaded]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, str] = {}
-    for name, snaps in results:
         out_name = Path(name).stem + "_chain.adet"
-        io.write_tensor(out_dir / out_name, snaps)
+        io.write_tensor(out_dir / out_name, chain.snapshots)
         written[out_name] = io.file_sha256(out_dir / out_name)
+    if ref_shape is None:
+        raise ValidationError(f"no readable images in {input_dir}")
     return {"written": written, "errors": errors}

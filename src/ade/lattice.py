@@ -1,6 +1,8 @@
 """D2Q9 lattice Boltzmann core for scalar advection-diffusion.
 
-Populations are stored as f[k, y, x] for the nine directions below. One step
+Populations are stored as f[k, ..., y, x] for the nine directions below,
+with any leading channel axes in between: the channels of one image share
+a velocity field, so one state steps them all at once. One step
 is: pull-stream f_new into f, BGK-collide into f_new using the velocity field
 fetched at the end of the previous step, fetch the velocity for the next
 step, then apply full bounce-back on the outer ring of nodes. Streaming
@@ -34,9 +36,6 @@ CS2 = 1.0 / 3.0
 # exact values for rational-arithmetic identity checks
 W_EXACT = (Fraction(4, 9),) + (Fraction(1, 9),) * 4 + (Fraction(1, 36),) * 4
 CS2_EXACT = Fraction(1, 3)
-
-# opposite-direction swap pairs applied by the wall update
-_BOUNCE_PAIRS = ((1, 3), (2, 4), (5, 7), (6, 8))
 
 
 class VelocityField(NamedTuple):
@@ -75,18 +74,20 @@ def equilibrium(u: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     out = np.empty((9,) + np.broadcast(u, vx, vy).shape, dtype=np.float64)
     for k in range(9):
         cv = CX[k] * vx + CY[k] * vy
-        out[k] = W[k] * u * (1.0 + 3.0 * cv + 4.5 * cv * cv - 1.5 * vv)
+        np.multiply(W[k], u, out=out[k])
+        out[k] *= 1.0 + 3.0 * cv + 4.5 * cv * cv - 1.5 * vv
     return out
 
 
 class LatticeState:
-    """Population buffers for one scalar field on an nx-by-ny grid.
+    """Population buffers for scalar fields on an nx-by-ny grid.
 
     `f_new` is the live buffer between steps; `f` is the staging buffer the
-    pull-stream writes into. Both start at the rest equilibrium of the
-    initial field so the first stream reads well-defined values. `vx`/`vy`
-    hold the advection field to be used by the next collision (zero at
-    init, matching the reference loop).
+    pull-stream writes into. `init_from_image` sets both to the rest
+    equilibrium of its field, with the field's leading axes, so the first
+    stream reads well-defined values. `vx`/`vy` hold the advection field
+    to be used by the next collision (zero at init, matching the reference
+    loop).
     """
 
     def __init__(self, nx: int, ny: int, dtype=np.float64):
@@ -109,16 +110,19 @@ class LatticeState:
 
 
 def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
-    """State whose macroscopic field equals u0, at rest equilibrium."""
+    """State whose macroscopic field equals u0 ([H, W] or [C, H, W]), at
+    rest equilibrium; f and f_new are (9,) + u0.shape."""
     u0 = np.asarray(u0)
-    if u0.ndim != 2:
-        raise ShapeMismatchError(f"initial field must be 2D, got {u0.shape}")
+    if u0.ndim not in (2, 3):
+        raise ShapeMismatchError(
+            f"initial field must be [H, W] or [C, H, W], got {u0.shape}")
     if not np.all(np.isfinite(u0)):
         raise NonFiniteFieldError("initial field contains NaN or Inf")
-    ny, nx = u0.shape
+    ny, nx = u0.shape[-2:]
     state = LatticeState(nx, ny, dtype=dtype)
-    state.f[:] = W[:, None, None] * u0.astype(state.dtype)
-    state.f_new[:] = state.f
+    state.f = np.empty((9,) + u0.shape, dtype=state.dtype)
+    state.f[:] = W.reshape((9,) + (1,) * u0.ndim) * u0.astype(state.dtype)
+    state.f_new = state.f.copy()
     return state
 
 
@@ -141,13 +145,14 @@ def stream(state: LatticeState) -> None:
         if cx == 0 and cy == 0:
             f[k] = f_new[k]
         else:
-            f[k] = np.roll(f_new[k], (cy, cx), axis=(0, 1))
+            f[k] = np.roll(f_new[k], (cy, cx), axis=(-2, -1))
 
 
 def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     """BGK relaxation toward equilibrium: f_new = (1 - 1/tau) f + (1/tau) f_eq.
 
-    The macroscopic field is taken as sum_k f_k at each node. Per-node mass
+    The macroscopic field is taken as sum_k f_k at each node; the velocity
+    terms of f_eq broadcast over the channel axes. Per-node mass
     is preserved for any tau > 1/2; the update is a contraction toward
     equilibrium for tau >= 1.
     """
@@ -160,7 +165,9 @@ def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     omega = 1.0 / tau
     u = state.f.sum(axis=0)
     feq = equilibrium(u, vx, vy).astype(state.dtype, copy=False)
-    state.f_new[:] = (1.0 - omega) * state.f + omega * feq
+    feq *= omega  # in place: no population-sized temporaries, same bits
+    np.multiply(state.f, 1.0 - omega, out=state.f_new)
+    state.f_new += feq
 
 
 def apply_bounce_back(state: LatticeState) -> None:
@@ -171,9 +178,6 @@ def apply_bounce_back(state: LatticeState) -> None:
     f_new so the next stream pulls wall-reflected values.
     """
     ny, nx = state.ny, state.nx
-    if nx < 3 or ny < 3:
-        raise DegenerateDomainError(
-            f"grid must be at least 3x3, got {nx}x{ny}")
     f, f_new = state.f, state.f_new
     ring = [
         (slice(0, 1), slice(None)),
@@ -182,11 +186,8 @@ def apply_bounce_back(state: LatticeState) -> None:
         (slice(1, ny - 1), slice(nx - 1, nx)),
     ]
     for ys, xs in ring:
-        for a, b in _BOUNCE_PAIRS:
-            tmp = f[a, ys, xs].copy()
-            f[a, ys, xs] = f[b, ys, xs]
-            f[b, ys, xs] = tmp
-        f_new[:, ys, xs] = f[:, ys, xs]
+        f[..., ys, xs] = f[OPPOSITE, ..., ys, xs]  # the gather copies
+        f_new[..., ys, xs] = f[..., ys, xs]
 
 
 def solver_step(state: LatticeState, vel_provider: VelocityProvider,

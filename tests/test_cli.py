@@ -177,7 +177,7 @@ _ROUND_TRIPS = {
     "chain": (["chain", "--in-dir", "in", "--steps", "2",
                "--fo-min", "1e-3", "--fo-max", "4e-3", "--pe", "0.05",
                "--tau-max", "0.9", "--cap", "2e-3", "--seed", "4",
-               "--precision", "f32", "--workers", "2", "--length", "20"]
+               "--precision", "f32", "--length", "20"]
               + _TURB,
               ["a_chain.adet", "b_chain.adet"], {"sigma_min", "sigma_max"}),
     "reverse": (["reverse", "--chain", "chain.adet", "--predictor", "zero",
@@ -246,6 +246,27 @@ input_sha256=dedc568f52e93c100cf89eab8579567a7f29de7f337e26694c3b9f803cf69f23
 output.chain.adet=999428d693b328672bed0b662811494484b13726a28d265d1aaada74ed43a0a0
 """
 
+# Written by `ade chain --in-dir in --out run0 --steps 3 --sigma-max 2
+# --pe 0.05 --seed 7 --precision f32` while `chain` still had a `workers`
+# param; replay ignores the key.
+_OLD_CHAIN_MANIFEST = """\
+command=chain
+steps=3
+sigma_max=2.0
+pe=0.05
+tau_max=1.0
+cap=0.001
+slope=-2.0
+dt_turb=0.0001
+sharpness=1.0
+in_dir=in
+seed=7
+precision=f32
+workers=1
+output.a_chain.adet=84be7cc8b2c703ca5878749031f2a85d8151562b98d4764b0cdd09ddf25215d4
+output.b_chain.adet=f4434d88439ac2bf6ae6c7dd7ff5c314d855b3c3c3593f242e2f3310c41c8514
+"""
+
 
 def test_old_corrupt_manifest_still_replays(workdir):
     field = 0.3 + 0.4 * CounterRng(77, 0).uniforms(256).reshape(16, 16)
@@ -256,6 +277,17 @@ def test_old_corrupt_manifest_still_replays(workdir):
     assert cli.main(["corrupt", "--config", "old.txt", "--out", "run"]) == 0
     assert (io.file_sha256(workdir / "run" / "chain.adet")
             == old["output.chain.adet"])
+
+    (workdir / "in").mkdir()
+    _field_image(workdir / "in" / "a.pgm", 21)
+    _field_image(workdir / "in" / "b.pgm", 22)
+    (workdir / "old_chain.txt").write_text(_OLD_CHAIN_MANIFEST)
+    old = io.read_config(workdir / "old_chain.txt")
+    assert cli.main(["chain", "--config", "old_chain.txt",
+                     "--out", "run_chain"]) == 0
+    for name in ("a_chain.adet", "b_chain.adet"):
+        assert (io.file_sha256(workdir / "run_chain" / name)
+                == old[f"output.{name}"])
 
 
 def test_chain_skips_an_unreadable_first_image(workdir, capsys):
@@ -275,6 +307,22 @@ def test_chain_skips_an_unreadable_first_image(workdir, capsys):
     assert manifest["output.b_chain.adet"] == io.file_sha256(
         workdir / "out" / "b_chain.adet")
     assert "output.c_chain.adet" in manifest
+
+
+@pytest.mark.parametrize("argv", [["corrupt", "--in", "a.pgm"],
+                                  ["chain", "--in-dir", "in"]],
+                         ids=["corrupt", "chain"])
+def test_bound_errors_leave_no_out_dir(workdir, capsys, argv):
+    _field_image(workdir / "a.pgm", 1)
+    (workdir / "in").mkdir()
+    _field_image(workdir / "in" / "a.pgm", 2)
+    for bad, message in (
+            (["--fo-min", "1e-3", "--fo-max", "2e-3", "--sigma-max", "2"],
+             "not both"),
+            (["--fo-min", "1e-3"], "need both")):
+        assert cli.main(argv + ["--out", "o"] + bad) == 1
+        assert message in _one_error_line(capsys)
+        assert not (workdir / "o").exists()
 
 
 def test_overflowing_tensor_header_is_one_error_line(workdir, capsys):

@@ -183,3 +183,38 @@ def test_sha256_of_empty_file(tmp_path):
     path.write_bytes(b"")
     assert io.file_sha256(path) == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+
+def _mutants(blob, rng, count):
+    """`count` copies of blob, each with one byte flipped, a truncation or
+    one byte inserted, at positions drawn from rng."""
+    for kind, where, value in rng.uniforms(3 * count).reshape(count, 3):
+        pos = int(where * len(blob))
+        byte = bytes([1 + int(value * 255)])
+        if kind < 1 / 3:
+            yield blob[:pos] + bytes([blob[pos] ^ byte[0]]) + blob[pos + 1:]
+        elif kind < 2 / 3:
+            yield blob[:pos]
+        else:
+            yield blob[:pos] + byte + blob[pos:]
+
+
+def test_mutated_files_fail_only_with_typed_errors(tmp_path):
+    field = CounterRng(5, 0).uniforms(3 * 4 * 5).reshape(3, 4, 5)
+    io.write_tensor(tmp_path / "t.adet", field)
+    io.write_image(tmp_path / "rgb.ppm", field, maxval=255)
+    io.write_image(tmp_path / "gray.pgm", field[:1], maxval=65535)
+    io.write_config(tmp_path / "run.cfg", {"command": "corrupt", "seed": 3,
+                                           "fo_min": 1e-3, "name": "a b"})
+    readers = [("t.adet", io.read_tensor), ("rgb.ppm", io.read_image),
+               ("gray.pgm", io.read_image), ("run.cfg", io.read_config)]
+    for stream, (name, read) in enumerate(readers):
+        blob = (tmp_path / name).read_bytes()
+        failures = 0
+        for mutant in _mutants(blob, CounterRng(2024, stream), 400):
+            (tmp_path / "mutant").write_bytes(mutant)
+            try:
+                read(tmp_path / "mutant")
+            except (FormatError, ValidationError):
+                failures += 1
+        assert failures > 0, name  # the mutations do reach the checks

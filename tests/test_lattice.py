@@ -136,6 +136,21 @@ def test_collide_preserves_node_mass():
     assert np.max(np.abs(st.f_new.sum(axis=0) - before)) < 1e-14
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_collide_matches_the_bgk_formula_bitwise(dtype):
+    u0 = CounterRng(22, 0).uniforms(3 * 36).reshape(3, 6, 6)
+    st = lattice.init_from_image(u0, dtype=dtype)
+    st.f[:] = CounterRng(22, 1).uniforms(9 * 3 * 36).reshape(9, 3, 6, 6)
+    vx = 1e-2 * (CounterRng(22, 2).uniforms(36).reshape(6, 6) - 0.5)
+    vy = 1e-2 * (CounterRng(22, 3).uniforms(36).reshape(6, 6) - 0.5)
+    tau = 0.8
+    feq = lattice.equilibrium(st.f.sum(axis=0), vx, vy).astype(dtype)
+    expect = (1.0 - 1.0 / tau) * st.f + (1.0 / tau) * feq
+    lattice.collide(st, VelocityField(vx, vy), tau)
+    assert st.f_new.dtype == expect.dtype == dtype
+    assert st.f_new.tobytes() == expect.tobytes()
+
+
 def test_collide_validates_tau_and_shapes():
     st = LatticeState(4, 4)
     good = VelocityField(np.zeros((4, 4)), np.zeros((4, 4)))
