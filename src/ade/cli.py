@@ -7,7 +7,8 @@ manifest written into `--out`: `command`, every resolved param that is not
 None, then the input and output sha256 lines, so a manifest replays through
 `--config`. `--out`, `--config`, `--plot` and `--record` only choose where
 and which extra files to write, so they stay out of it. Params are resolved
-and checked before `--out` is created.
+and checked before `--out` is created, and a failed run removes the
+`--out` directories it created while they are still empty.
 
 Usage errors exit with 2 (argparse); engine and I/O failures print a single
 `ade: error: <kind>: <message>` line on stderr and exit 1.
@@ -16,6 +17,7 @@ Usage errors exit with 2 (argparse); engine and I/O failures print a single
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -282,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out) if getattr(args, "out", None) else None
+    made: list[Path] = []  # the directories this run creates, deepest first
     try:
         cmd = COMMANDS[args.command]
         p = resolve(args.command, cmd.params, args,
                     (os.environ.get("ADE_CONFIG"), args.config))
         _check_bounds(p)
-        out = Path(args.out) if getattr(args, "out", None) else None
         if out is not None:
+            made = [d for d in (out, *out.parents) if not d.exists()]
             out.mkdir(parents=True, exist_ok=True)
         lines = cmd.run(p, args, out)
         if out is not None:
@@ -296,6 +300,9 @@ def main(argv=None) -> int:
                             manifest(args.command, p, lines))
         return 0
     except (EngineError, OSError) as exc:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()  # succeeds only while it is empty
         message = str(exc).replace("\n", " ")
         print(f"ade: error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

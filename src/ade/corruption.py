@@ -83,7 +83,8 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
                   dtype=np.float64) -> CorruptionChain:
     """Run the schedule on u0 and collect every snapshot.
 
-    Snapshot 0 is u0 itself, bit for bit. With Pe > 0 the grid must be
+    Snapshot 0 is u0 cast to `dtype`: u0 itself, bit for bit, at float64,
+    and u0 rounded to float32 at float32. With Pe > 0 the grid must be
     square (the spectral generator is N x N); `turbulence` defaults to the
     grid-sized spec with the schedule's velocity cap.
     """

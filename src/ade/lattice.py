@@ -9,6 +9,12 @@ step, then apply full bounce-back on the outer ring of nodes. Streaming
 wraps toroidally, so it permutes populations and conserves mass exactly;
 the wall update rewrites the ring before the interior ever consumes a
 wrapped value, so the interior sees a closed box, not a torus.
+
+The velocity part of the equilibrium, F_k = 1 + 3 c.v + 4.5 (c.v)^2 - 1.5
+v.v, is kept in the state and rebuilt only when `collide` is handed a
+different `VelocityField` object than the one it was built from. So a
+`VelocityField` is a value; hand over a new one when the flow changes, and
+return the same object for an unchanged flow.
 """
 
 from __future__ import annotations
@@ -60,37 +66,60 @@ def tau_from_alpha(alpha: float) -> float:
     return 3.0 * alpha + 0.5
 
 
+def velocity_factor(vx: np.ndarray, vy: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Velocity part of the equilibrium, F_k = 1 + 3 c.v + 4.5 (c.v)^2 -
+    1.5 v.v, float64 of shape (9,) + v.shape, written into `out` if given."""
+    vx = np.asarray(vx, dtype=np.float64)
+    vy = np.asarray(vy, dtype=np.float64)
+    vv = vx * vx + vy * vy
+    if out is None:
+        out = np.empty((9,) + np.broadcast(vx, vy).shape, dtype=np.float64)
+    for k in range(9):
+        cv = CX[k] * vx + CY[k] * vy
+        out[k] = 1.0 + 3.0 * cv + 4.5 * cv * cv - 1.5 * vv
+    return out
+
+
 def equilibrium(u: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Second-order equilibrium populations, shape (9,) + u.shape.
 
-    f_eq_k = w_k * u * (1 + 3 c.v + 4.5 (c.v)^2 - 1.5 v.v). Summing over k
+    f_eq_k = w_k * u * F_k with F_k from `velocity_factor`. Summing over k
     returns u exactly in real arithmetic; in floats it stays within a few
     ulps of u.
     """
     u = np.asarray(u, dtype=np.float64)
-    vx = np.asarray(vx, dtype=np.float64)
-    vy = np.asarray(vy, dtype=np.float64)
-    vv = vx * vx + vy * vy
-    out = np.empty((9,) + np.broadcast(u, vx, vy).shape, dtype=np.float64)
+    factor = velocity_factor(vx, vy)
+    out = np.empty((9,) + np.broadcast(u, factor[0]).shape, dtype=np.float64)
     for k in range(9):
-        cv = CX[k] * vx + CY[k] * vy
         np.multiply(W[k], u, out=out[k])
-        out[k] *= 1.0 + 3.0 * cv + 4.5 * cv * cv - 1.5 * vv
+        out[k] *= factor[k]
     return out
+
+
+def _roll_slices(shift: int, n: int) -> list[tuple[slice, slice]]:
+    """(destination, source) slice pairs that roll an axis of n by shift."""
+    if shift == 0:
+        return [(slice(None), slice(None))]
+    s = shift % n
+    return [(slice(s, None), slice(None, n - s)),
+            (slice(None, s), slice(n - s, None))]
 
 
 class LatticeState:
     """Population buffers for scalar fields on an nx-by-ny grid.
 
+    `f` and `f_new` are (9,) + channels + (ny, nx), allocated once.
     `f_new` is the live buffer between steps; `f` is the staging buffer the
     pull-stream writes into. `init_from_image` sets both to the rest
-    equilibrium of its field, with the field's leading axes, so the first
-    stream reads well-defined values. `vx`/`vy` hold the advection field
-    to be used by the next collision (zero at init, matching the reference
-    loop).
+    equilibrium of its field. `vel` holds the advection field to be used by
+    the next collision (zero at init, matching the reference loop), and
+    `factor` its velocity factor, built from the field object `factor_of`.
+    `moves` holds the (destination, source) slices `stream` copies.
     """
 
-    def __init__(self, nx: int, ny: int, dtype=np.float64):
+    def __init__(self, nx: int, ny: int, dtype=np.float64,
+                 channels: tuple = ()):
         if nx < 3 or ny < 3:
             raise DegenerateDomainError(
                 f"grid must be at least 3x3, got {nx}x{ny}")
@@ -99,14 +128,36 @@ class LatticeState:
         self.nx = int(nx)
         self.ny = int(ny)
         self.dtype = np.dtype(dtype)
-        self.f = np.zeros((9, ny, nx), dtype=self.dtype)
-        self.f_new = np.zeros((9, ny, nx), dtype=self.dtype)
-        self.vx = np.zeros((ny, nx), dtype=np.float64)
-        self.vy = np.zeros((ny, nx), dtype=np.float64)
+        field = tuple(channels) + (self.ny, self.nx)
+        self.f = np.zeros((9,) + field, dtype=self.dtype)
+        self.f_new = np.zeros((9,) + field, dtype=self.dtype)
+        zero = np.zeros(self.shape)
+        self.vel = VelocityField(zero, zero)
+        self.factor = np.ones((9,) + self.shape)  # F_k of the zero field
+        self.factor_of = self.vel
+        # collide's work buffers: sum_k f_k, w_k u in float64, and f_k (1 -
+        # omega), which shares the float64 one in a float64 state (w_k u is
+        # consumed before f_k (1 - omega) is written)
+        self.u = np.empty(field, dtype=self.dtype)
+        self.wu = np.empty(field)
+        self.rest = (self.wu if self.dtype == np.float64
+                     else np.empty(field, dtype=self.dtype))
+        self.moves = [((k, ..., ys, xs), (k, ..., ys_from, xs_from))
+                      for k in range(9)
+                      for ys, ys_from in _roll_slices(int(CY[k]), self.ny)
+                      for xs, xs_from in _roll_slices(int(CX[k]), self.nx)]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
+
+    @property
+    def vx(self) -> np.ndarray:
+        return self.vel[0]
+
+    @property
+    def vy(self) -> np.ndarray:
+        return self.vel[1]
 
 
 def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
@@ -119,10 +170,9 @@ def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
     if not np.all(np.isfinite(u0)):
         raise NonFiniteFieldError("initial field contains NaN or Inf")
     ny, nx = u0.shape[-2:]
-    state = LatticeState(nx, ny, dtype=dtype)
-    state.f = np.empty((9,) + u0.shape, dtype=state.dtype)
+    state = LatticeState(nx, ny, dtype=dtype, channels=u0.shape[:-2])
     state.f[:] = W.reshape((9,) + (1,) * u0.ndim) * u0.astype(state.dtype)
-    state.f_new = state.f.copy()
+    state.f_new[:] = state.f
     return state
 
 
@@ -134,40 +184,50 @@ def macro_update(state: LatticeState) -> np.ndarray:
 def stream(state: LatticeState) -> None:
     """Pull-stream: f[k, y, x] <- f_new[k, y - cy_k, x - cx_k], wrapping.
 
-    The wrap makes streaming a permutation of all slots (mass moves, none
-    is created or lost). Interior nodes only ever pull in-grid neighbors;
-    the ring slots that pick up wrapped values are rewritten by the wall
-    update before the interior consumes them.
+    Each direction is at most four slice copies, the same permutation as
+    `np.roll`. The wrap makes streaming a permutation of all slots (mass
+    moves, none is created or lost). Interior nodes only ever pull in-grid
+    neighbors; the ring slots that pick up wrapped values are rewritten by
+    the wall update before the interior consumes them.
     """
     f, f_new = state.f, state.f_new
-    for k in range(9):
-        cx, cy = int(CX[k]), int(CY[k])
-        if cx == 0 and cy == 0:
-            f[k] = f_new[k]
-        else:
-            f[k] = np.roll(f_new[k], (cy, cx), axis=(-2, -1))
+    for to, frm in state.moves:
+        f[to] = f_new[frm]
 
 
 def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     """BGK relaxation toward equilibrium: f_new = (1 - 1/tau) f + (1/tau) f_eq.
 
     The macroscopic field is taken as sum_k f_k at each node; the velocity
-    terms of f_eq broadcast over the channel axes. Per-node mass
-    is preserved for any tau > 1/2; the update is a contraction toward
-    equilibrium for tau >= 1.
+    factor of f_eq broadcasts over the channel axes. It is rebuilt only when
+    `vel` is not the object it was last built from: a `VelocityField` is a
+    value; hand over a new one when the flow changes, and return the same
+    object for an unchanged flow. Per-node mass is preserved for any
+    tau > 1/2; the update is a contraction toward equilibrium for tau >= 1.
     """
     if not tau > 0.5:
         raise StabilityError(f"tau must exceed 1/2, got {tau}")
-    vx, vy = vel
-    if vx.shape != state.shape or vy.shape != state.shape:
-        raise ShapeMismatchError(
-            f"velocity shape {vx.shape}/{vy.shape} != grid {state.shape}")
+    if vel is not state.factor_of:
+        vx, vy = vel
+        if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
+            raise ShapeMismatchError(f"velocity shape {np.shape(vx)}/"
+                                     f"{np.shape(vy)} != grid {state.shape}")
+        state.factor_of = None  # a failed build leaves no stale table
+        velocity_factor(vx, vy, out=state.factor)
+        state.factor_of = vel
     omega = 1.0 / tau
-    u = state.f.sum(axis=0)
-    feq = equilibrium(u, vx, vy).astype(state.dtype, copy=False)
-    feq *= omega  # in place: no population-sized temporaries, same bits
-    np.multiply(state.f, 1.0 - omega, out=state.f_new)
-    state.f_new += feq
+    f, f_new, wu, rest = state.f, state.f_new, state.wu, state.rest
+    u = np.sum(f, axis=0, out=state.u)
+    for k in range(9):
+        # (w_k u) F_k in float64, rounded to the state dtype as `equilibrium`
+        # then astype would; IEEE addition commutes, so adding f_k (1 -
+        # omega) last rounds exactly like (1 - omega) f + omega f_eq
+        out = f_new[k]
+        np.multiply(W[k], u, out=wu, dtype=np.float64)
+        np.multiply(wu, state.factor[k], out=out)
+        out *= omega
+        np.multiply(f[k], 1.0 - omega, out=rest)
+        out += rest
 
 
 def apply_bounce_back(state: LatticeState) -> None:
@@ -197,15 +257,17 @@ def solver_step(state: LatticeState, vel_provider: VelocityProvider,
     Stream, collide with the previously fetched velocity, fetch the field
     for the next step from `vel_provider(step_index)`, then apply the wall
     update. The very first step therefore collides with the zero field.
+    The fetched object is kept as is, so a provider that returns the same
+    `VelocityField` object for an unchanged flow has its velocity factor
+    built once; it must return a new object when the flow changes.
     """
     stream(state)
-    collide(state, VelocityField(state.vx, state.vy), tau)
-    vx, vy = vel_provider(step_index)
-    vx = np.asarray(vx, dtype=np.float64)
-    vy = np.asarray(vy, dtype=np.float64)
-    if vx.shape != state.shape or vy.shape != state.shape:
+    collide(state, state.vel, tau)
+    vel = vel_provider(step_index)
+    vx, vy = vel
+    if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
         raise ShapeMismatchError(
-            f"provider returned shape {vx.shape}/{vy.shape}, "
+            f"provider returned shape {np.shape(vx)}/{np.shape(vy)}, "
             f"grid is {state.shape}")
-    state.vx, state.vy = vx, vy
+    state.vel = vel
     apply_bounce_back(state)

@@ -325,6 +325,27 @@ def test_bound_errors_leave_no_out_dir(workdir, capsys, argv):
         assert not (workdir / "o").exists()
 
 
+def test_failed_runs_leave_no_out_dir(workdir, capsys):
+    assert cli.main(["corrupt", "--in", "missing.pgm", "--out", "o1"]) == 1
+    _one_error_line(capsys)
+    assert not (workdir / "o1").exists()
+    assert cli.main(["corrupt", "--in", "missing.pgm", "--out", "p/o"]) == 1
+    _one_error_line(capsys)
+    assert not (workdir / "p").exists()
+    (workdir / "in").mkdir()
+    (workdir / "in" / "a.pgm").write_bytes(b"not an image")
+    assert cli.main(["chain", "--in-dir", "in", "--out", "o2"]) == 1
+    assert "no readable images" in _one_error_line(capsys)
+    assert not (workdir / "o2").exists()
+
+
+def test_failed_run_keeps_an_existing_out_dir(workdir, capsys):
+    (workdir / "o").mkdir()
+    assert cli.main(["corrupt", "--in", "missing.pgm", "--out", "o"]) == 1
+    _one_error_line(capsys)
+    assert (workdir / "o").is_dir()
+
+
 def test_overflowing_tensor_header_is_one_error_line(workdir, capsys):
     # dims (2**32, 2**32) multiply to 0 in int64: an empty payload
     header = io.MAGIC + struct.pack("<IBI", io.VERSION, 1, 2)

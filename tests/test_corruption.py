@@ -104,6 +104,16 @@ def test_float32_chain_keeps_dtype():
     assert chain.snapshots.dtype == np.float32
 
 
+def test_snapshot_0_is_the_input_cast_to_the_chain_dtype():
+    u0 = _field(6)
+    f64 = forward_chain(u0, _schedule(), seed=0).snapshots[0, 0]
+    assert f64.tobytes() == u0.tobytes()
+    f32 = forward_chain(u0, _schedule(), seed=0,
+                        dtype=np.float32).snapshots[0, 0]
+    assert f32.tobytes() == u0.astype(np.float32).tobytes()
+    assert not np.array_equal(f32, u0)  # the cast is not a no-op
+
+
 def test_mass_is_conserved_along_the_chain():
     sch = _schedule(n=24, sigmas=(0.5, 1.5, 3.0), peclet=0.1)
     chain = forward_chain(_field(7, 24), sch, seed=2)

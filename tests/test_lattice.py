@@ -7,6 +7,9 @@ from ade import lattice
 from ade.errors import DegenerateDomainError, ShapeMismatchError, StabilityError
 from ade.lattice import LatticeState, VelocityField
 from ade.rng import CounterRng
+from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
+
+import lattice_reference
 
 
 def _zero_provider(shape):
@@ -216,3 +219,99 @@ def test_mass_is_conserved_over_many_steps():
         lattice.solver_step(st, provider, 0.8, step)
     total = float(np.sum(lattice.macro_update(st), dtype=np.float64))
     assert abs(total - ref) / ref < 1e-12
+
+
+def _still_provider(shape):
+    zero = np.zeros(shape)
+    still = VelocityField(zero, zero)
+    return lambda step: still
+
+
+def _turbulent_provider(size, seed=5):
+    gen = TurbulenceGenerator(TurbulenceSpec(size=size, cap=3e-2), seed)
+    return lambda step: gen.generate(step, 1e-2)
+
+
+def _random_provider(shape, seed=6):
+    """A new field with new values at every step."""
+    def provider(step):
+        r = CounterRng(seed, step)
+        n = shape[0] * shape[1]
+        return VelocityField(4e-2 * (r.uniforms(n).reshape(shape) - 0.5),
+                             4e-2 * (r.uniforms(n).reshape(shape) - 0.5))
+    return provider
+
+
+def _run_both(u0, make_provider, dtype, steps):
+    """Step the kernels and the reference from u0 side by side."""
+    st = lattice.init_from_image(u0, dtype=dtype)
+    ref = lattice_reference.RefState(u0, dtype=dtype)
+    provider, ref_provider = make_provider(), make_provider()
+    for step in range(steps):
+        tau = 0.55 + 0.45 * ((7 * step) % 11) / 10.0
+        lattice.solver_step(st, provider, tau, step)
+        lattice_reference.solver_step(ref, ref_provider, tau, step)
+    return st, ref
+
+
+_REFERENCE_CASES = {
+    "still": ((3, 16, 16), lambda: _still_provider((16, 16))),
+    "turbulent": ((3, 16, 16), lambda: _turbulent_provider(16)),
+    "rgb_nonsquare_pe0": ((3, 12, 20), lambda: _still_provider((12, 20))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_step_matches_the_reference_bitwise(case, dtype):
+    shape, make_provider = _REFERENCE_CASES[case]
+    u0 = CounterRng(23, 0).uniforms(int(np.prod(shape))).reshape(shape)
+    st, ref = _run_both(u0, make_provider, dtype, 300)
+    assert st.f.dtype == ref.f.dtype == dtype
+    assert st.f.tobytes() == ref.f.tobytes()
+    assert st.f_new.tobytes() == ref.f_new.tobytes()
+
+
+def test_a_new_field_every_step_is_honoured():
+    u0 = CounterRng(24, 0).uniforms(2 * 10 * 10).reshape(2, 10, 10)
+    st, ref = _run_both(u0, lambda: _random_provider((10, 10)),
+                        np.float64, 40)
+    assert st.f_new.tobytes() == ref.f_new.tobytes()
+    # the fields differ from step to step, so a stale table would show
+    still, _ = _run_both(u0, lambda: _still_provider((10, 10)),
+                         np.float64, 40)
+    assert still.f_new.tobytes() != st.f_new.tobytes()
+
+
+def test_factor_is_built_once_per_field_object(monkeypatch):
+    builds = []
+    real = lattice.velocity_factor
+
+    def counting(vx, vy, out=None):
+        builds.append(1)
+        return real(vx, vy, out)
+
+    monkeypatch.setattr(lattice, "velocity_factor", counting)
+    first, second = (VelocityField(np.full((8, 8), v), np.zeros((8, 8)))
+                     for v in (1e-2, -1e-2))
+    st = lattice.init_from_image(CounterRng(25, 0).uniforms(64).reshape(8, 8))
+    for step in range(20):
+        lattice.solver_step(st, lambda s: first if s < 10 else second,
+                            0.8, step)
+    assert len(builds) == 2
+    st = lattice.init_from_image(np.full((8, 8), 0.5))
+    still = _still_provider((8, 8))
+    for step in range(20):
+        lattice.solver_step(st, still, 0.8, step)
+    assert len(builds) == 3
+
+
+def test_stream_equals_roll_in_every_direction():
+    st = LatticeState(7, 5, channels=(3,))
+    st.f_new[:] = CounterRng(26, 0).uniforms(9 * 3 * 5 * 7).reshape(
+        9, 3, 5, 7)
+    lattice.stream(st)
+    for k in range(9):
+        expect = np.roll(st.f_new[k], (int(lattice.CY[k]),
+                                       int(lattice.CX[k])), axis=(-2, -1))
+        assert np.array_equal(st.f[k], expect), k
