@@ -1,15 +1,19 @@
 """File formats: raw tensors, PNM images, key=value configs.
 
-All writers go through a temp file in the destination directory followed by
-os.replace, so readers never observe a partial artifact.
+All writers go through a per-process temp file in the destination directory
+followed by os.replace, so readers never observe a partial artifact; a
+failed write removes its temp file and leaves the destination as it was.
 
 Tensor files are little-endian throughout: magic "ADET", version u32 (=1),
 dtype u8 (0 = float32, 1 = float64), ndim u32, then ndim u64 dims and the
-row-major payload.
+row-major payload. The tensor reader and writer hold one copy of the
+payload: it is read straight into the returned array and written straight
+from the caller's array (or one contiguous copy of a strided view).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -26,11 +30,24 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+def atomic_write_bytes(path: str | Path, payload: bytes | np.ndarray,
+                       header: bytes = b"") -> None:
+    """Write header, then payload, to path via a temp file and os.replace.
+
+    The payload may be any C-contiguous buffer whose len() is its byte
+    count (bytes, or a flat uint8 array), so it is written without a copy.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
@@ -44,40 +61,50 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
         raise ValidationError("0-dimensional tensors are not supported")
     header = MAGIC + struct.pack("<IBI", VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    payload = np.ascontiguousarray(array).astype(
-        _DTYPE_CODES[code], copy=False).tobytes()
-    atomic_write_bytes(path, header + payload)
+    data = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    atomic_write_bytes(path, data.reshape(-1).view(np.uint8), header)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
     """Parse a tensor file; malformed input raises FormatError with the
     byte offset of the first problem."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}",
-                          offset=0)
-    if len(blob) < 13:
-        raise FormatError("truncated header", offset=len(blob))
-    version, code, ndim = struct.unpack_from("<IBI", blob, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"unknown dtype code {code}", offset=8)
-    if ndim < 1 or ndim > 32:
-        raise FormatError(f"implausible ndim {ndim}", offset=9)
-    if len(blob) < 13 + 8 * ndim:
-        raise FormatError("truncated dims", offset=len(blob))
-    dims = struct.unpack_from(f"<{ndim}Q", blob, 13)
-    start = 13 + 8 * ndim
-    dtype = _DTYPE_CODES[code]
-    expected = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
-    if len(blob) - start != expected:
-        raise FormatError(
-            f"payload is {len(blob) - start} bytes, expected {expected}",
-            offset=start)
-    data = np.frombuffer(blob, dtype=dtype, offset=start).reshape(dims)
-    # native byte order, writable copy
-    return data.astype(dtype.newbyteorder("="), copy=True)
+    with open(path, "rb") as f:
+        head = f.read(13)
+        if head[:4] != MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}",
+                              offset=0)
+        if len(head) < 13:
+            raise FormatError("truncated header", offset=len(head))
+        version, code, ndim = struct.unpack_from("<IBI", head, 4)
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        if code not in _DTYPE_CODES:
+            raise FormatError(f"unknown dtype code {code}", offset=8)
+        if ndim < 1 or ndim > 32:
+            raise FormatError(f"implausible ndim {ndim}", offset=9)
+        raw_dims = f.read(8 * ndim)
+        if len(raw_dims) < 8 * ndim:
+            raise FormatError("truncated dims", offset=13 + len(raw_dims))
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        start = 13 + 8 * ndim
+        dtype = _DTYPE_CODES[code]
+        # Python ints: no overflow. numpy refuses shapes whose nonzero dims
+        # times the item size pass intp, even with a zero dim and no payload.
+        if (math.prod(d for d in dims if d) * dtype.itemsize
+                > np.iinfo(np.intp).max):
+            raise FormatError(f"dims {dims} exceed the addressable size",
+                              offset=13)
+        expected = math.prod(dims) * dtype.itemsize
+        size = os.fstat(f.fileno()).st_size - start
+        if size != expected:
+            raise FormatError(f"payload is {size} bytes, expected {expected}",
+                              offset=start)
+        data = np.empty(dims, dtype=dtype)
+        got = f.readinto(data.reshape(-1).view(np.uint8))
+        if got != expected:
+            raise FormatError(f"payload is {got} bytes, expected {expected}",
+                              offset=start + got)
+    return data.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:

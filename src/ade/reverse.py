@@ -97,22 +97,29 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     One noise field is drawn per step even when sigma_sample is 0 (the
     perturbation is then exactly zero), keeping rng positions comparable
     across sigma settings. With record=True, also returns the trajectory
-    [steps + 1, ...] from prior to result. Arithmetic is float64.
+    [steps + 1, ...] from prior to result, allocated once and filled in
+    place. Arithmetic is float64.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if sigma_sample < 0.0:
         raise ValidationError(
             f"sigma_sample must be >= 0, got {sigma_sample}")
-    u = np.array(prior, dtype=np.float64, copy=True)
-    trajectory = [u.copy()] if record else None
-    for k in range(steps, 0, -1):
-        u_hat = u + sigma_sample * rng.normal_field(u.shape)
-        u = u_hat + _checked_delta(predictor.predict(u_hat, k), u.shape)
-        if record:
-            trajectory.append(u.copy())
+    u = np.asarray(prior, dtype=np.float64)
     if record:
-        return u, np.stack(trajectory)
+        trajectory = np.empty((steps + 1,) + u.shape)
+        trajectory[0] = u
+    for k in range(steps, 0, -1):
+        # u_hat = u + sigma * z, formed in the fresh noise buffer: the same
+        # bits, since IEEE + and * commute
+        u_hat = rng.normal_field(u.shape)
+        u_hat *= sigma_sample
+        u_hat += u
+        delta = _checked_delta(predictor.predict(u_hat, k), u.shape)
+        u = np.add(u_hat, delta,
+                   out=trajectory[steps - k + 1] if record else None)
+    if record:
+        return u.copy(), trajectory
     return u
 
 

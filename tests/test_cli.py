@@ -355,6 +355,63 @@ def test_overflowing_tensor_header_is_one_error_line(workdir, capsys):
     assert "FormatError" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("dims", [(0, 2**63), (2**62, 0, 2**62)],
+                         ids=["dim_past_intp", "nonzero_product_past_intp"])
+def test_unrepresentable_empty_tensor_is_one_error_line(workdir, capsys,
+                                                        dims):
+    # a zero dim makes the payload size check pass; numpy still refuses
+    header = io.MAGIC + struct.pack("<IBI", io.VERSION, 1, len(dims))
+    (workdir / "big.adet").write_bytes(
+        header + struct.pack(f"<{len(dims)}Q", *dims))
+    assert cli.main(["audit", "--chain", "big.adet"]) == 1
+    assert "FormatError" in _one_error_line(capsys)
+
+
+def test_a_failed_write_leaves_no_out_dir(workdir, capsys, monkeypatch):
+    _field_image(workdir / "a.pgm", 1)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(io.os, "replace", fail)
+    assert cli.main(["corrupt", "--in", "a.pgm", "--out", "o",
+                     "--steps", "2"]) == 1
+    assert "disk full" in _one_error_line(capsys)
+    assert not (workdir / "o").exists()
+
+
+# Written by `ade reverse --chain chain.adet --predictor oracle --sigma-s
+# 0.01 --seed 5 --record --out run0` on the chain the test below makes,
+# with the trajectory's sha256 taken from the same run.
+_OLD_REVERSE_MANIFEST = """\
+command=reverse
+chain_path=chain.adet
+predictor=oracle
+sigma_s=0.01
+seed=5
+timeout=30.0
+output.recon.adet=a1ab2abf6401570e2941eb662921e537d56c5e0bbbb72eb908415cd953413182
+"""
+_OLD_CHAIN_SHA256 = (
+    "605b421859e9ebcdab1c9c5ce6968ba5cd916d2da6570638e2d60430dbf49eb1")
+_OLD_TRAJECTORY_SHA256 = (
+    "f33ec6d440d38fd38441c849f360ad13ae38cc67ddb3e4f33071414752987e2e")
+
+
+def test_old_reverse_manifest_replays_byte_for_byte(workdir):
+    snaps = CounterRng(8, 0).uniforms(5 * 256).reshape(5, 16, 16)
+    io.write_tensor(workdir / "chain.adet", snaps.astype(np.float32))
+    assert io.file_sha256(workdir / "chain.adet") == _OLD_CHAIN_SHA256
+    (workdir / "old.txt").write_text(_OLD_REVERSE_MANIFEST)
+    assert cli.main(["reverse", "--config", "old.txt", "--out", "run",
+                     "--record"]) == 0
+    old = io.read_config(workdir / "old.txt")
+    assert (io.file_sha256(workdir / "run" / "recon.adet")
+            == old["output.recon.adet"])
+    assert (io.file_sha256(workdir / "run" / "trajectory.adet")
+            == _OLD_TRAJECTORY_SHA256)
+    assert io.read_config(workdir / "run" / "manifest.txt") == old
+
+
 def test_non_utf8_config_is_one_error_line(workdir, capsys):
     (workdir / "bad.cfg").write_bytes(b"seed=1\nsteps=\xff\n")
     assert cli.main(["corrupt", "--config", "bad.cfg", "--out", "d"]) == 1

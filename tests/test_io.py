@@ -1,3 +1,7 @@
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +90,96 @@ def test_corrupt_tensor_errors_carry_byte_offsets(tmp_path):
         raw.extend(b"\x00" * 3)
     with pytest.raises(FormatError):
         io.read_tensor(_poke(tmp_path, "e.adet", pad))
+
+
+@pytest.mark.parametrize("dims", [(0, 2**63), (2**62, 0, 2**62), (0, 2**60)],
+                         ids=["dim_past_intp", "nonzero_product_past_intp",
+                              "bytes_past_intp"])
+def test_zero_payload_dims_numpy_cannot_hold_are_a_format_error(tmp_path,
+                                                                 dims):
+    # each shape multiplies to a valid empty payload, but np.empty refuses it
+    path = tmp_path / "t.adet"
+    path.write_bytes(io.MAGIC + struct.pack("<IBI", io.VERSION, 1, len(dims))
+                     + struct.pack(f"<{len(dims)}Q", *dims))
+    with pytest.raises(FormatError, match=r"\(byte 13\)"):
+        io.read_tensor(path)
+
+
+def test_empty_tensors_round_trip(tmp_path):
+    path = tmp_path / "t.adet"
+    io.write_tensor(path, np.zeros((0, 5)))
+    back = io.read_tensor(path)
+    assert back.shape == (0, 5) and back.dtype == np.float64
+
+
+def test_a_file_that_shrinks_while_read_is_a_format_error(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "t.adet"
+    io.write_tensor(path, np.ones((4, 4)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])  # one value went missing
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):  # the size the file had when it was opened
+        return os.stat_result((*real_fstat(fd)[:6], size, 0, 0, 0))
+    monkeypatch.setattr(io.os, "fstat", stale_fstat)
+    with pytest.raises(FormatError, match=r"\(byte 149\)"):
+        io.read_tensor(path)
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_no_temp(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "t.adet"
+    io.write_tensor(path, np.ones((2, 2)))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(io.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        io.write_tensor(path, np.zeros((3, 3)))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.adet"]
+
+
+def test_atomic_writes_keep_plain_open_permissions(tmp_path):
+    with open(tmp_path / "plain", "wb"):
+        pass
+    io.write_tensor(tmp_path / "t.adet", np.ones(3))
+    assert ((tmp_path / "t.adet").stat().st_mode
+            == (tmp_path / "plain").stat().st_mode)
+
+
+def test_temp_files_are_named_per_process(tmp_path, monkeypatch):
+    seen = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        seen.append(os.path.basename(src))
+        real_replace(src, dst)
+    monkeypatch.setattr(io.os, "replace", spy)
+    io.write_tensor(tmp_path / "t.adet", np.ones(3))
+    assert seen == [f"t.adet.{os.getpid()}.tmp"]
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced memory of fn(*args) above what was allocated before;
+    numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_io_holds_one_copy_of_the_payload(tmp_path):
+    arr = CounterRng(3, 0).uniforms(4 * 128 * 128).reshape(4, 128, 128)
+    payload = arr.nbytes
+    path = tmp_path / "t.adet"
+    assert _peak_bytes(io.write_tensor, path, arr) <= 64 * 1024 + payload / 20
+    assert _peak_bytes(io.read_tensor, path) <= 1.05 * payload + 64 * 1024
 
 
 def test_pgm_round_trip_8bit(tmp_path):

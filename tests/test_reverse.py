@@ -1,11 +1,12 @@
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ade import io, reverse
-from ade.corruption import NoiseParams, forward_chain
+from ade.corruption import CorruptionChain, NoiseParams, forward_chain
 from ade.errors import (PredictorTimeoutError, ShapeMismatchError,
                         ValidationError)
 from ade.reverse import (ExternPredictor, OraclePredictor, ZeroPredictor,
@@ -38,6 +39,60 @@ def test_recorded_trajectory_brackets_the_walk():
     assert traj.shape == (4,) + chain.prior.shape
     assert np.array_equal(traj[0], chain.prior)
     assert np.array_equal(traj[-1], out)
+
+
+def _recorded_walk_reference(prior, predictor, steps, sigma, rng):
+    """Reference walk: a copy of each state in a list, stacked at the end."""
+    u = np.array(prior, dtype=np.float64, copy=True)
+    rows = [u.copy()]
+    for k in range(steps, 0, -1):
+        u_hat = u + sigma * rng.normal_field(u.shape)
+        u = u_hat + predictor.predict(u_hat, k)
+        rows.append(u.copy())
+    return u, np.stack(rows)
+
+
+class _HalfOracle(OraclePredictor):
+    """Half the exact correction, so the walk never lands on a snapshot."""
+
+    def predict(self, u_hat, k):
+        return 0.5 * super().predict(u_hat, k)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.008, 0.3])
+def test_recorded_walk_matches_the_reference_bitwise(sigma):
+    chain = _chain(6, peclet=0.2)
+    for pred in (OraclePredictor(chain), _HalfOracle(chain)):
+        out, traj = sample(chain.prior, pred, chain.chain_length, sigma,
+                           CounterRng(9, 0), record=True)
+        ref_out, ref_traj = _recorded_walk_reference(
+            chain.prior, pred, chain.chain_length, sigma, CounterRng(9, 0))
+        assert out.tobytes() == ref_out.tobytes()
+        assert traj.tobytes() == ref_traj.tobytes()
+        plain = sample(chain.prior, pred, chain.chain_length, sigma,
+                       CounterRng(9, 0))
+        assert plain.tobytes() == ref_out.tobytes()
+        out[...] = -1.0  # the result does not alias the trajectory
+        assert traj.tobytes() == ref_traj.tobytes()
+
+
+def test_recorded_walk_allocates_the_trajectory_once():
+    steps, shape = 32, (3, 32, 32)
+    snaps = CounterRng(4, 0).uniforms((steps + 1) * 3 * 32 * 32).reshape(
+        (steps + 1,) + shape)
+    chain = CorruptionChain(snaps)
+    field = snaps[0].nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, traj = sample(chain.prior, OraclePredictor(chain), steps, 0.01,
+                         CounterRng(1, 0), record=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj.nbytes == (steps + 1) * field
+    # noise, u_hat, the predictor's answer and Box-Muller temporaries
+    assert peak <= traj.nbytes + 8 * field
 
 
 def test_zero_predictor_without_noise_returns_the_prior():
