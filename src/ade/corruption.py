@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ValidationError
+from .errors import EngineError, ShapeMismatchError, ValidationError
 from .lattice import (
     VelocityField,
     init_from_image,
@@ -204,7 +204,7 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
     for index, name in enumerate(names):
         try:
             stack, _ = io.read_image(input_dir / name)
-        except Exception as exc:  # per-file failure, batch continues
+        except (EngineError, OSError) as exc:  # per-file, batch continues
             errors[name] = str(exc)
             continue
         if ref_shape is None:

@@ -69,15 +69,41 @@ def tau_from_alpha(alpha: float) -> float:
 def velocity_factor(vx: np.ndarray, vy: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Velocity part of the equilibrium, F_k = 1 + 3 c.v + 4.5 (c.v)^2 -
-    1.5 v.v, float64 of shape (9,) + v.shape, written into `out` if given."""
+    1.5 v.v, float64 of shape (9,) + v.shape, written into `out` if given.
+
+    Equals the nine-direction formula ((1 + 3 cv) + (4.5 cv) cv) - 1.5 vv,
+    bit for bit. Direction k and its opposite have c.v of opposite sign,
+    so they share a = 3 cv and b = (4.5 cv) cv, and 1 + (-a) is exactly
+    1 - a: each of the four pairs is built from one cv, and 1.5 vv once,
+    in `out` and one scratch field.
+    """
     vx = np.asarray(vx, dtype=np.float64)
     vy = np.asarray(vy, dtype=np.float64)
-    vv = vx * vx + vy * vy
+    shape = np.broadcast(vx, vy).shape
     if out is None:
-        out = np.empty((9,) + np.broadcast(vx, vy).shape, dtype=np.float64)
-    for k in range(9):
-        cv = CX[k] * vx + CY[k] * vy
-        out[k] = 1.0 + 3.0 * cv + 4.5 * cv * cv - 1.5 * vv
+        out = np.empty((9,) + shape, dtype=np.float64)
+    vv15 = out[0]  # 1.5 v.v until every pair is built
+    a = np.multiply(vy, vy, out=np.empty(shape))
+    np.multiply(vx, vx, out=vv15)
+    vv15 += a
+    vv15 *= 1.5
+
+    def pair(k, opp, cv):
+        b = np.multiply(cv, 4.5, out=out[opp])
+        b *= cv
+        np.multiply(cv, 3.0, out=a)
+        np.add(a, 1.0, out=out[k])
+        out[k] += b
+        out[k] -= vv15
+        np.subtract(1.0, a, out=a)
+        b += a
+        b -= vv15
+
+    pair(1, 3, vx)
+    pair(2, 4, vy)
+    pair(5, 7, np.add(vx, vy, out=a))
+    pair(6, 8, np.subtract(vy, vx, out=a))
+    np.subtract(1.0, vv15, out=vv15)
     return out
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .corruption import CorruptionChain
 from .errors import (
+    FormatError,
     PredictorTimeoutError,
     ShapeMismatchError,
     ValidationError,
@@ -72,7 +73,7 @@ class ExternPredictor:
             if answer.exists():
                 try:
                     return io.read_tensor(answer)
-                except Exception:
+                except (FormatError, OSError):
                     pass  # partner may still be writing
             if time.monotonic() >= deadline:
                 raise PredictorTimeoutError(

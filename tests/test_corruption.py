@@ -193,3 +193,16 @@ def test_precompute_rejects_mismatched_shapes(tmp_path):
     result = precompute_dataset(src, tmp_path / "out", sch, seed=0)
     assert list(result["written"]) == ["a_chain.adet"]
     assert "b.pgm" in result["errors"]
+
+
+def test_precompute_lets_a_programming_error_escape(tmp_path, monkeypatch):
+    src = tmp_path / "in"
+    src.mkdir()
+    _write_pgm(src / "a.pgm", 33)
+
+    def broken(path):
+        raise TypeError("not an image error")
+
+    monkeypatch.setattr(io, "read_image", broken)
+    with pytest.raises(TypeError, match="not an image error"):
+        precompute_dataset(src, tmp_path / "out", _schedule(n=12), seed=0)

@@ -230,3 +230,23 @@ def test_extern_predictor_ignores_a_stale_answer(tmp_path):
     pred = ExternPredictor(tmp_path, timeout=0.05, poll_interval=0.01)
     with pytest.raises(PredictorTimeoutError):
         pred.predict(np.zeros((4, 4)), 1)
+
+
+def test_extern_predictor_lets_a_programming_error_escape(tmp_path,
+                                                          monkeypatch):
+    real_write = io.write_tensor
+
+    def write_and_answer(path, array):
+        real_write(path, array)  # the input, then the partner's answer
+        real_write(tmp_path / "step_1_delta.adet", np.zeros((4, 4)))
+
+    def broken_read(path):
+        raise TypeError("not a half-written file")
+
+    monkeypatch.setattr(io, "write_tensor", write_and_answer)
+    monkeypatch.setattr(io, "read_tensor", broken_read)
+    pred = ExternPredictor(tmp_path, timeout=5.0, poll_interval=0.01)
+    start = time.monotonic()
+    with pytest.raises(TypeError, match="not a half-written file"):
+        pred.predict(np.zeros((4, 4)), 1)
+    assert time.monotonic() - start < 2.0  # at once, not at the timeout

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from ade.errors import ValidationError
+from ade.lattice import velocity_factor
 from ade.turbulence import (TurbulenceGenerator, TurbulenceSpec, limit_velocity,
                             tanh_limiter)
+
+import turbulence_reference
+
+STEPS = (0, 1, 17, 10**6)
 
 
 def test_spec_defaults_fill_the_band():
@@ -116,3 +121,56 @@ def test_phases_drift_linearly_with_step():
     f0, _ = frozen.synthesize(0)
     f9, _ = frozen.synthesize(9)
     assert np.array_equal(f0, f9)
+
+
+@pytest.mark.parametrize("size, slope, band", [
+    (16, -2.0, None),
+    (64, -2.0, None),
+    (65, -1.5, None),
+    (128, -1.5, None),
+    (256, -2.0, None),
+    (64, -1.5, (6.0 * np.pi, 16.0 * np.pi)),
+    (65, -2.0, (3.0, 40.0)),
+    (64, -2.0, (6.05 * np.pi, 6.1 * np.pi)),  # no grid mode in the band
+])
+def test_synthesis_matches_the_reference_bitwise(size, slope, band):
+    kappa_min, kappa_max = band or (None, None)
+    spec = TurbulenceSpec(size, slope=slope, kappa_min=kappa_min,
+                          kappa_max=kappa_max)
+    gen = TurbulenceGenerator(spec, seed=5)
+    ref = turbulence_reference.RefGenerator(spec, seed=5)
+    for step in STEPS:
+        for got, want in zip(gen.synthesize(step), ref.synthesize(step)):
+            assert got.shape == want.shape == (size, size)
+            assert got.tobytes() == want.tobytes()
+
+
+def _hand_made_fields(cap=1e-3):
+    values = np.array([0.0, -0.0, cap, -cap, np.nextafter(cap, 0.0),
+                       -np.nextafter(cap, 0.0), 5e-324, -1e-300, 3.7e-4])
+    vx, vy = np.meshgrid(values, values)
+    yield vx, vy
+    yield vy, -vx
+    yield np.full((4, 5), -0.0), np.full((4, 5), 0.0)
+
+
+@pytest.mark.parametrize("size", [16, 64, 65])
+def test_velocity_factor_matches_the_reference_bitwise(size):
+    gen = TurbulenceGenerator(TurbulenceSpec(size), seed=5)
+    fields = [gen.generate(step, 4e-4) for step in STEPS]
+    for vx, vy in fields + list(_hand_made_fields()):
+        want = turbulence_reference.velocity_factor(vx, vy)
+        assert velocity_factor(vx, vy).tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan)  # every slot must be written
+        assert velocity_factor(vx, vy, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def test_an_empty_band_is_a_constant_field_error():
+    # grid wavenumbers are 2*pi times an integer mode count, and no mode
+    # has |kappa| in [6.05*pi, 6.1*pi]: the table keeps no row at all
+    spec = TurbulenceSpec(64, kappa_min=6.05 * np.pi, kappa_max=6.1 * np.pi)
+    gen = TurbulenceGenerator(spec, seed=3)
+    with pytest.raises(ValidationError,
+                       match="spectral band produced a constant field"):
+        gen.generate(0, 1e-4)
