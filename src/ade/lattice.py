@@ -15,6 +15,13 @@ v.v, is kept in the state and rebuilt only when `collide` is handed a
 different `VelocityField` object than the one it was built from. So a
 `VelocityField` is a value; hand over a new one when the flow changes, and
 return the same object for an unchanged flow.
+
+A still flow, every component +0 or -0 (Pe = 0, pure heat dissipation),
+has F_k = 1.0 exactly, and x * 1.0 = x, so `collide` then skips the table.
+It forms w u once per weight class (rest, axes, diagonals) instead of once
+per direction and scales it by omega once: the same roundings in the same
+order as the nine-direction loop, since IEEE addition commutes. Chains are
+the same bits either way.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import (
     NonFiniteFieldError,
     ShapeMismatchError,
     StabilityError,
+    ValidationError,
 )
 
 # direction k:  0     1     2     3      4     5      6      7      8
@@ -37,6 +45,8 @@ CY = np.array([0, 0, 1, 0, -1, 1, 1, -1, -1])
 W = np.array([4 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9,
               1 / 36, 1 / 36, 1 / 36, 1 / 36])
 OPPOSITE = np.array([0, 3, 4, 1, 2, 7, 8, 5, 6])
+# directions sharing one weight, contiguous in k: rest, axes, diagonals
+WEIGHT_CLASSES = (slice(0, 1), slice(1, 5), slice(5, 9))
 CS2 = 1.0 / 3.0
 
 # exact values for rational-arithmetic identity checks
@@ -140,7 +150,8 @@ class LatticeState:
     pull-stream writes into. `init_from_image` sets both to the rest
     equilibrium of its field. `vel` holds the advection field to be used by
     the next collision (zero at init, matching the reference loop), and
-    `factor` its velocity factor, built from the field object `factor_of`.
+    `factor` its velocity factor, built from the field object `factor_of`;
+    `still` says that field is zero everywhere, so the table is all ones.
     `moves` holds the (destination, source) slices `stream` copies.
     """
 
@@ -150,7 +161,8 @@ class LatticeState:
             raise DegenerateDomainError(
                 f"grid must be at least 3x3, got {nx}x{ny}")
         if np.dtype(dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"unsupported dtype {dtype}")
+            raise ValidationError(f"unsupported dtype {dtype}, "
+                                  "expected float32 or float64")
         self.nx = int(nx)
         self.ny = int(ny)
         self.dtype = np.dtype(dtype)
@@ -161,9 +173,12 @@ class LatticeState:
         self.vel = VelocityField(zero, zero)
         self.factor = np.ones((9,) + self.shape)  # F_k of the zero field
         self.factor_of = self.vel
-        # collide's work buffers: sum_k f_k, w_k u in float64, and f_k (1 -
-        # omega), which shares the float64 one in a float64 state (w_k u is
-        # consumed before f_k (1 - omega) is written)
+        self.still = True
+        # collide's work buffers: sum_k f_k, w_k u in float64, and rest in
+        # the state dtype, which shares the float64 one in a float64 state.
+        # A moving flow puts f_k (1 - omega) in rest (w_k u is consumed
+        # before it is written); a still one puts (w u) omega there, once
+        # per weight class
         self.u = np.empty(field, dtype=self.dtype)
         self.wu = np.empty(field)
         self.rest = (self.wu if self.dtype == np.float64
@@ -230,6 +245,12 @@ def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     value; hand over a new one when the flow changes, and return the same
     object for an unchanged flow. Per-node mass is preserved for any
     tau > 1/2; the update is a contraction toward equilibrium for tau >= 1.
+
+    When every velocity is +0 or -0 the factor is 1.0 exactly, and
+    (w_k u) * 1.0 = w_k u, so the table is not read: w u is formed once per
+    weight class, rounded to the state dtype, scaled by omega, and added to
+    each f_k (1 - omega) of the class. Those are the roundings of the
+    moving-flow loop in its order (addition commutes), so the bits agree.
     """
     if not tau > 0.5:
         raise StabilityError(f"tau must exceed 1/2, got {tau}")
@@ -240,10 +261,20 @@ def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
                                      f"{np.shape(vy)} != grid {state.shape}")
         state.factor_of = None  # a failed build leaves no stale table
         velocity_factor(vx, vy, out=state.factor)
+        state.still = not (np.any(vx) or np.any(vy))
         state.factor_of = vel
     omega = 1.0 / tau
     f, f_new, wu, rest = state.f, state.f_new, state.wu, state.rest
     u = np.sum(f, axis=0, out=state.u)
+    if state.still:
+        for ks in WEIGHT_CLASSES:
+            # w u in float64, rounded to the state dtype as in the loop below
+            np.multiply(W[ks.start], u, out=rest, dtype=np.float64)
+            rest *= omega
+            out = f_new[ks]
+            np.multiply(f[ks], 1.0 - omega, out=out)
+            out += rest
+        return
     for k in range(9):
         # (w_k u) F_k in float64, rounded to the state dtype as `equilibrium`
         # then astype would; IEEE addition commutes, so adding f_k (1 -

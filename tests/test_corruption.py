@@ -29,6 +29,11 @@ def test_noise_params_defaults():
         NoiseParams(sigma_train=-0.1)
 
 
+def test_chain_rejects_an_unsupported_dtype():
+    with pytest.raises(ValidationError, match="unsupported dtype"):
+        forward_chain(_field(1), _schedule(), 0, dtype=np.float16)
+
+
 def test_chain_shape_and_clean_snapshot():
     sch = _schedule()
     chain = forward_chain(_field(1), sch, seed=0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ade import lattice
-from ade.errors import DegenerateDomainError, ShapeMismatchError, StabilityError
+from ade.errors import (DegenerateDomainError, ShapeMismatchError,
+                        StabilityError, ValidationError)
 from ade.lattice import LatticeState, VelocityField
 from ade.rng import CounterRng
 from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
@@ -242,6 +243,21 @@ def _random_provider(shape, seed=6):
     return provider
 
 
+def _switching_provider(size):
+    """Still for steps 0-99, turbulent for 100-199, then a new field of
+    signed zeros: the still flag has to flip both ways."""
+    zero = np.zeros((size, size))
+    still, turbulent = VelocityField(zero, zero), _turbulent_provider(size)
+    minus = np.full((size, size), -0.0)
+    signed = VelocityField(minus, minus.copy())
+
+    def provider(step):
+        if step < 100:
+            return still
+        return turbulent(step) if step < 200 else signed
+    return provider
+
+
 def _run_both(u0, make_provider, dtype, steps):
     """Step the kernels and the reference from u0 side by side."""
     st = lattice.init_from_image(u0, dtype=dtype)
@@ -258,6 +274,7 @@ _REFERENCE_CASES = {
     "still": ((3, 16, 16), lambda: _still_provider((16, 16))),
     "turbulent": ((3, 16, 16), lambda: _turbulent_provider(16)),
     "rgb_nonsquare_pe0": ((3, 12, 20), lambda: _still_provider((12, 20))),
+    "switching": ((3, 16, 16), lambda: _switching_provider(16)),
 }
 
 
@@ -304,6 +321,36 @@ def test_factor_is_built_once_per_field_object(monkeypatch):
     for step in range(20):
         lattice.solver_step(st, still, 0.8, step)
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_still_flow_does_not_read_the_factor_table(dtype):
+    u0 = CounterRng(27, 0).uniforms(2 * 9 * 11).reshape(2, 9, 11)
+    st = lattice.init_from_image(u0, dtype=dtype)
+    ref = lattice_reference.RefState(u0, dtype=dtype)
+    provider = _still_provider((9, 11))
+    for step in range(22):
+        if step == 2:  # the provider's field has its table by now
+            assert st.factor_of is provider(0) and st.still
+            st.factor[:] = np.nan
+        lattice.solver_step(st, provider, 0.8, step)
+        lattice_reference.solver_step(ref, provider, 0.8, step)
+    assert st.f_new.tobytes() == ref.f_new.tobytes()
+
+    moving = VelocityField(np.full((9, 11), 1e-2), np.zeros((9, 11)))
+    lattice.collide(st, moving, 0.8)
+    assert not st.still
+    assert np.isfinite(st.f_new).all()
+    minus = np.full((9, 11), -0.0)
+    lattice.collide(st, VelocityField(minus, minus), 0.8)
+    assert st.still
+
+
+def test_unsupported_dtype_is_a_validation_error():
+    with pytest.raises(ValidationError, match="unsupported dtype"):
+        lattice.init_from_image(np.full((4, 4), 0.5), dtype=np.int32)
+    with pytest.raises(ValueError):  # still a ValueError for old callers
+        LatticeState(4, 4, dtype=np.float16)
 
 
 def test_stream_equals_roll_in_every_direction():
