@@ -7,6 +7,7 @@ shells (DC included) equals N_total * sum(field^2).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -149,15 +150,20 @@ class MassReport:
         return float(np.nanmax(self.drift))
 
 
-def mass_audit(snapshots: np.ndarray) -> MassReport:
-    """Relative mass drift of a chain, summed in float64 in a fixed order."""
-    snaps = np.asarray(snapshots)
-    if snaps.ndim == 3:
-        snaps = snaps[:, None, :, :]
-    if snaps.ndim != 4:
-        raise ShapeMismatchError(
-            f"expected [K+1, C, H, W] or [K+1, H, W], got {snaps.shape}")
-    totals = snaps.astype(np.float64).sum(axis=(2, 3))
+def mass_audit(snapshots) -> MassReport:
+    """Relative mass drift of a chain, summed in float64 in a fixed order.
+
+    `snapshots` is an array or an `io.open_tensor` reader; either way one
+    snapshot is converted and summed at a time.
+    """
+    shape = snapshots.shape
+    if len(shape) not in (3, 4) or 0 in shape:
+        raise ShapeMismatchError(f"expected a nonempty [K+1, C, H, W] or "
+                                 f"[K+1, H, W], got {shape}")
+    totals = np.empty((shape[0], math.prod(shape[1:-2])))
+    for k in range(shape[0]):
+        snap = np.asarray(snapshots[k], dtype=np.float64)
+        totals[k] = snap.reshape((-1,) + shape[-2:]).sum(axis=(1, 2))
     ref = totals[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = np.abs(totals - ref) / np.abs(ref)

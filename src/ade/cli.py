@@ -195,25 +195,28 @@ def cmd_reverse(p, args, out):
     if name not in ("oracle", "zero") and not name.startswith("extern:"):
         raise ValidationError(
             f"predictor must be oracle, zero or extern:<dir>, got {name!r}")
-    snaps = io.read_tensor(p["chain_path"])
-    if snaps.ndim not in (3, 4) or snaps.shape[0] < 2:
-        raise ValidationError(f"chain tensor must be [K+1, (C,) H, W] with "
-                              f"K >= 1, got {snaps.shape}")
-    chain = CorruptionChain(snaps)
-    predictor = (reverse.OraclePredictor(chain) if name == "oracle"
-                 else reverse.ZeroPredictor() if name == "zero"
-                 else reverse.ExternPredictor(name.split(":", 1)[1],
-                                              timeout=p["timeout"]))
-    result = reverse.sample(chain.prior, predictor, chain.chain_length,
-                            p["sigma_s"], CounterRng(p["seed"], 0),
-                            record=args.record)
-    recon = result[0] if args.record else result
-    if args.record:
-        io.write_tensor(out / "trajectory.adet", result[1])
+    with io.open_tensor(p["chain_path"]) as snaps:
+        if snaps.ndim not in (3, 4) or len(snaps) < 2 or 0 in snaps.shape:
+            raise ValidationError(f"chain tensor must be [K+1, (C,) H, W] "
+                                  f"with K >= 1, nonempty, got {snaps.shape}")
+        chain = CorruptionChain(snaps)  # the oracle reads one entry a step
+        predictor = (reverse.OraclePredictor(chain) if name == "oracle"
+                     else reverse.ZeroPredictor() if name == "zero"
+                     else reverse.ExternPredictor(name.split(":", 1)[1],
+                                                  timeout=p["timeout"]))
+        walk = (chain.prior, predictor, chain.chain_length, p["sigma_s"],
+                CounterRng(p["seed"], 0))
+        if args.record:  # float64, like the walk
+            with io.tensor_writer(out / "trajectory.adet",
+                                  snaps.shape) as trajectory:
+                recon = reverse.sample(*walk, sink=trajectory.append)
+        else:
+            recon = reverse.sample(*walk)
+        clean = snaps[0]
     io.write_tensor(out / "recon.adet", recon)
     if args.plot:
         io.write_image(out / "recon.pgm", recon)
-    print(f"max_abs_error={float(np.abs(recon - snaps[0]).max())!r}")
+    print(f"max_abs_error={float(np.abs(recon - clean).max())!r}")
     return _outputs(out, "recon.adet")
 
 
@@ -224,8 +227,11 @@ def cmd_reverse(p, args, out):
     out=False, switches=("plot",))
 def cmd_spectrum(p, args, out):
     path = p["in_path"]
-    stack = io.read_tensor(path) if path.endswith(".adet") else (
-        io.read_image(path)[0])
+    if path.endswith(".adet"):
+        with io.open_tensor(path) as tensor:
+            stack = tensor[0] if tensor.ndim >= 3 else tensor.read()
+    else:
+        stack = io.read_image(path)[0]
     field = stack[(0,) * (stack.ndim - 2)]  # first of every leading axis
     profile = analysis.radial_energy_spectrum(field)
     n = min(field.shape)
@@ -256,7 +262,8 @@ def cmd_spectrum(p, args, out):
 @command("audit", "mass-conservation report for a chain", [
     Param("chain_path", str, REQUIRED, "chain tensor", flag="--chain")])
 def cmd_audit(p, args, out):
-    report = analysis.mass_audit(io.read_tensor(p["chain_path"]))
+    with io.open_tensor(p["chain_path"]) as snaps:
+        report = analysis.mass_audit(snaps)
     for k in range(report.totals.shape[0]):
         worst = float(np.fmax.reduce(report.drift[k]))  # NaN only if all are
         print(f"k={k} total={float(report.totals[k].sum())!r} drift={worst!r}")

@@ -9,6 +9,11 @@ dtype u8 (0 = float32, 1 = float64), ndim u32, then ndim u64 dims and the
 row-major payload. The tensor reader and writer hold one copy of the
 payload: it is read straight into the returned array and written straight
 from the caller's array (or one contiguous copy of a strided view).
+
+Large tensors need not be held whole. `open_tensor` checks the header as
+`read_tensor` does and then reads single entries along axis 0 by offset;
+`tensor_writer` writes the header up front and appends one entry at a
+time, under the same temp file and os.replace contract.
 """
 
 from __future__ import annotations
@@ -22,12 +27,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ShapeMismatchError, ValidationError
 
 MAGIC = b"ADET"
 VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str | Path):
+    """An open temp file next to path that replaces it when the block ends
+    without error; on any error the temp file is removed instead."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes | np.ndarray,
@@ -37,38 +58,82 @@ def atomic_write_bytes(path: str | Path, payload: bytes | np.ndarray,
     The payload may be any C-contiguous buffer whose len() is its byte
     count (bytes, or a flat uint8 array), so it is written without a copy.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(header)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
+    with _atomic_file(path) as f:
+        f.write(header)
+        f.write(payload)
+
+
+def _tensor_header(shape: tuple[int, ...], dtype) -> tuple[bytes, np.dtype]:
+    """Header bytes for a tensor of shape and dtype, and its file dtype."""
+    code = _CODE_FOR.get(np.dtype(dtype))
+    if code is None:
+        raise ValidationError(
+            f"tensor dtype must be float32 or float64, got {dtype}")
+    if len(shape) < 1:
+        raise ValidationError("0-dimensional tensors are not supported")
+    header = MAGIC + struct.pack("<IBI", VERSION, code, len(shape))
+    return header + struct.pack(f"<{len(shape)}Q", *shape), _DTYPE_CODES[code]
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Serialize a float32/float64 array; other dtypes are rejected."""
     array = np.asarray(array)
-    code = _CODE_FOR.get(array.dtype)
-    if code is None:
-        raise ValidationError(
-            f"tensor dtype must be float32 or float64, got {array.dtype}")
-    if array.ndim < 1:
-        raise ValidationError("0-dimensional tensors are not supported")
-    header = MAGIC + struct.pack("<IBI", VERSION, code, array.ndim)
-    header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    data = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    header, dtype = _tensor_header(array.shape, array.dtype)
+    data = np.ascontiguousarray(array, dtype=dtype)
     atomic_write_bytes(path, data.reshape(-1).view(np.uint8), header)
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
-    """Parse a tensor file; malformed input raises FormatError with the
-    byte offset of the first problem."""
-    with open(path, "rb") as f:
+class TensorWriter:
+    """Appends the entries of a tensor file whose header is written."""
+
+    def __init__(self, f, shape: tuple[int, ...], dtype: np.dtype):
+        self._file = f
+        self.shape = shape
+        self.dtype = dtype
+        self.count = 0
+
+    def append(self, row: np.ndarray) -> None:
+        """Write the next entry along axis 0, cast to the file dtype."""
+        row = np.asarray(row)
+        if row.shape != self.shape[1:]:
+            raise ShapeMismatchError(
+                f"row shape {row.shape}, expected {self.shape[1:]}")
+        data = np.ascontiguousarray(row, dtype=self.dtype)
+        self._file.write(data.reshape(-1).view(np.uint8))
+        self.count += 1
+
+
+@contextlib.contextmanager
+def tensor_writer(path: str | Path, shape: tuple[int, ...],
+                  dtype=np.float64):
+    """Write a tensor file one entry along axis 0 at a time.
+
+    Yields a TensorWriter; the header goes out first, each `append` writes
+    one entry, and the file replaces `path` when the block ends having
+    appended exactly shape[0] entries. Left early, by an error or with the
+    wrong count, it removes its temp file and raises.
+    """
+    shape = tuple(shape)
+    header, dtype = _tensor_header(shape, dtype)
+    with _atomic_file(path) as f:
+        f.write(header)
+        writer = TensorWriter(f, shape, dtype)
+        yield writer
+        if writer.count != shape[0]:
+            raise ValidationError(
+                f"wrote {writer.count} of {shape[0]} tensor rows")
+
+
+class TensorReader:
+    """A tensor file's header, with its payload read on demand.
+
+    `reader[i]` reads entry i along axis 0 (negative i counts from the
+    end) by its offset; `read()` reads the whole tensor. Both return
+    native-endian arrays of their own.
+    """
+
+    def __init__(self, f):
+        self._file = f
         head = f.read(13)
         if head[:4] != MAGIC:
             raise FormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}",
@@ -86,25 +151,67 @@ def read_tensor(path: str | Path) -> np.ndarray:
         if len(raw_dims) < 8 * ndim:
             raise FormatError("truncated dims", offset=13 + len(raw_dims))
         dims = struct.unpack(f"<{ndim}Q", raw_dims)
-        start = 13 + 8 * ndim
-        dtype = _DTYPE_CODES[code]
+        self._start = 13 + 8 * ndim
+        self._file_dtype = _DTYPE_CODES[code]
         # Python ints: no overflow. numpy refuses shapes whose nonzero dims
         # times the item size pass intp, even with a zero dim and no payload.
-        if (math.prod(d for d in dims if d) * dtype.itemsize
+        if (math.prod(d for d in dims if d) * self._file_dtype.itemsize
                 > np.iinfo(np.intp).max):
             raise FormatError(f"dims {dims} exceed the addressable size",
                               offset=13)
-        expected = math.prod(dims) * dtype.itemsize
-        size = os.fstat(f.fileno()).st_size - start
+        expected = math.prod(dims) * self._file_dtype.itemsize
+        size = os.fstat(f.fileno()).st_size - self._start
         if size != expected:
             raise FormatError(f"payload is {size} bytes, expected {expected}",
-                              offset=start)
-        data = np.empty(dims, dtype=dtype)
-        got = f.readinto(data.reshape(-1).view(np.uint8))
-        if got != expected:
-            raise FormatError(f"payload is {got} bytes, expected {expected}",
-                              offset=start + got)
-    return data.astype(dtype.newbyteorder("="), copy=False)
+                              offset=self._start)
+        self.shape = dims
+        self.dtype = self._file_dtype.newbyteorder("=")
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        n = len(self)
+        if not isinstance(index, (int, np.integer)) or not -n <= index < n:
+            raise ValidationError(
+                f"tensor index {index!r} out of range for {n} entries")
+        return self._read(self.shape[1:], int(index) % n)
+
+    def read(self) -> np.ndarray:
+        return self._read(self.shape, 0)
+
+    def _read(self, shape: tuple[int, ...], index: int) -> np.ndarray:
+        data = np.empty(shape, dtype=self._file_dtype)
+        start = self._start + index * data.nbytes
+        self._file.seek(start)
+        got = self._file.readinto(data.reshape(-1).view(np.uint8))
+        if got != data.nbytes:
+            raise FormatError(
+                f"payload is {got} bytes, expected {data.nbytes}",
+                offset=start + got)
+        return data.astype(self.dtype, copy=False)
+
+
+@contextlib.contextmanager
+def open_tensor(path: str | Path):
+    """Open a tensor file for row access; yields a TensorReader whose
+    header has passed every check `read_tensor` makes."""
+    with open(path, "rb") as f:
+        yield TensorReader(f)
+
+
+def read_tensor(path: str | Path) -> np.ndarray:
+    """Parse a tensor file; malformed input raises FormatError with the
+    byte offset of the first problem."""
+    with open_tensor(path) as tensor:
+        return tensor.read()
 
 
 def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:
@@ -236,4 +343,11 @@ def write_config(path: str | Path, entries: dict[str, object]) -> None:
 
 
 def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex sha256 of a file, streamed through one 64 KiB buffer: small
+    enough for malloc to serve from its heap, not by a fresh mmap."""
+    digest = hashlib.sha256()
+    block = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as f:
+        while size := f.readinto(block):
+            digest.update(block[:size])
+    return digest.hexdigest()

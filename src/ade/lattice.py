@@ -212,7 +212,8 @@ def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
         raise NonFiniteFieldError("initial field contains NaN or Inf")
     ny, nx = u0.shape[-2:]
     state = LatticeState(nx, ny, dtype=dtype, channels=u0.shape[:-2])
-    state.f[:] = W.reshape((9,) + (1,) * u0.ndim) * u0.astype(state.dtype)
+    np.multiply(W.reshape((9,) + (1,) * u0.ndim), u0.astype(state.dtype),
+                out=state.f)
     state.f_new[:] = state.f
     return state
 

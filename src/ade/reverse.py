@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -91,15 +91,19 @@ def _checked_delta(delta: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def sample(prior: np.ndarray, predictor: Predictor, steps: int,
-           sigma_sample: float, rng: CounterRng,
-           record: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+           sigma_sample: float, rng: CounterRng, record: bool = False,
+           sink: Callable[[np.ndarray], object] | None = None,
+           ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Run the reverse walk from the prior down to k = 1.
 
     One noise field is drawn per step even when sigma_sample is 0 (the
     perturbation is then exactly zero), keeping rng positions comparable
-    across sigma settings. With record=True, also returns the trajectory
-    [steps + 1, ...] from prior to result, allocated once and filled in
-    place. Arithmetic is float64.
+    across sigma settings. The walk holds one state at a time and hands
+    each, the prior first, to `sink`, so a caller can stream the
+    trajectory to disk; no state is written to after it is handed on.
+    With record=True, they are instead copied into a trajectory
+    [steps + 1, ...] from prior to result, allocated once, and the walk
+    returns (result, trajectory). Arithmetic is float64.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -108,20 +112,23 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
             f"sigma_sample must be >= 0, got {sigma_sample}")
     u = np.asarray(prior, dtype=np.float64)
     if record:
+        if sink is not None:
+            raise ValidationError("give record or a sink, not both")
         trajectory = np.empty((steps + 1,) + u.shape)
-        trajectory[0] = u
+        rows = iter(trajectory)
+        sink = lambda state: np.copyto(next(rows), state)  # noqa: E731
+    sink = sink or (lambda state: None)
+    sink(u)
     for k in range(steps, 0, -1):
-        # u_hat = u + sigma * z, formed in the fresh noise buffer: the same
-        # bits, since IEEE + and * commute
+        # u_hat = u + sigma * z, then u = u_hat + delta, formed in the fresh
+        # noise buffer: the same bits, since IEEE + and * commute
         u_hat = rng.normal_field(u.shape)
         u_hat *= sigma_sample
         u_hat += u
-        delta = _checked_delta(predictor.predict(u_hat, k), u.shape)
-        u = np.add(u_hat, delta,
-                   out=trajectory[steps - k + 1] if record else None)
-    if record:
-        return u.copy(), trajectory
-    return u
+        u_hat += _checked_delta(predictor.predict(u_hat, k), u.shape)
+        u = u_hat
+        sink(u)
+    return (u, trajectory) if record else u
 
 
 def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:

@@ -112,3 +112,28 @@ def test_mass_audit_accepts_plain_stacks_and_zero_reference():
     assert np.isnan(report.max_drift)
     snaps = np.stack([np.full((4, 4), 0.25), np.full((4, 4), 0.25)])
     assert analysis.mass_audit(snaps).max_drift == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mass_audit_of_a_tensor_reader_equals_the_in_memory_audit(tmp_path,
+                                                                   dtype):
+    from ade import io
+    from ade.rng import CounterRng
+    snaps = (1e3 * CounterRng(7, 0).uniforms(6 * 3 * 48 * 40)).reshape(
+        6, 3, 48, 40).astype(dtype)
+    snaps[:, 1] = 0.0  # a zero reference: NaN drift in both
+    io.write_tensor(tmp_path / "chain.adet", snaps)
+    memory = analysis.mass_audit(snaps)
+    with io.open_tensor(tmp_path / "chain.adet") as reader:
+        streamed = analysis.mass_audit(reader)
+    # the whole-chain float64 sum the audit used to make
+    assert memory.totals.tobytes() == snaps.astype(np.float64).sum(
+        axis=(2, 3)).tobytes()
+    assert streamed.totals.tobytes() == memory.totals.tobytes()
+    assert streamed.drift.tobytes() == memory.drift.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4, 4), (3, 4, 0)])
+def test_mass_audit_rejects_a_chain_with_an_empty_axis(shape):
+    with pytest.raises(ShapeMismatchError, match="nonempty"):
+        analysis.mass_audit(np.zeros(shape))

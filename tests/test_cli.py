@@ -1,9 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ade import cli, io
+from ade import cli, io, reverse
+from ade.corruption import CorruptionChain
+from ade.errors import PredictorTimeoutError
 from ade.params import resolve
 from ade.rng import CounterRng
 
@@ -417,3 +420,91 @@ def test_non_utf8_config_is_one_error_line(workdir, capsys):
     assert cli.main(["corrupt", "--config", "bad.cfg", "--out", "d"]) == 1
     err = _one_error_line(capsys)
     assert "FormatError" in err and "(byte 13)" in err
+
+
+def _reverse_chain(path, dtype, shape=(5, 2, 12, 12), seed=31):
+    snaps = CounterRng(seed, 0).uniforms(int(np.prod(shape))).reshape(shape)
+    io.write_tensor(path, snaps.astype(dtype))
+    return io.read_tensor(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["oracle", "zero"])
+def test_streamed_reverse_writes_the_bytes_of_the_recorded_walk(
+        workdir, name, dtype):
+    snaps = _reverse_chain(workdir / "chain.adet", dtype)
+    predictor = (reverse.OraclePredictor(CorruptionChain(snaps))
+                 if name == "oracle" else reverse.ZeroPredictor())
+    recon, trajectory = reverse.sample(snaps[-1], predictor, 4, 0.02,
+                                       CounterRng(6, 0), record=True)
+    io.write_tensor(workdir / "recon.adet", recon)
+    io.write_tensor(workdir / "trajectory.adet", trajectory)
+    flags = ["--chain", "chain.adet", "--predictor", name, "--sigma-s",
+             "0.02", "--seed", "6"]
+    assert cli.main(["reverse", *flags, "--out", "rec", "--record"]) == 0
+    assert cli.main(["reverse", *flags, "--out", "plain"]) == 0
+    for run, names in (("rec", ("recon.adet", "trajectory.adet")),
+                       ("plain", ("recon.adet",))):
+        for file in names:
+            assert ((workdir / run / file).read_bytes()
+                    == (workdir / file).read_bytes()), (run, file)
+    assert not (workdir / "plain" / "trajectory.adet").exists()
+
+
+def test_recorded_reverse_holds_one_snapshot_not_the_chain(workdir):
+    # K = 64 levels of 3x64x64 float64: a 6.1 MiB payload
+    _reverse_chain(workdir / "chain.adet", np.float64, (65, 3, 64, 64))
+    payload = 65 * 3 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["reverse", "--chain", "chain.adet", "--out", "o",
+                         "--record"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 4
+    # header: magic, version, dtype, ndim and four dims
+    assert ((workdir / "o" / "trajectory.adet").stat().st_size
+            == 13 + 8 * 4 + payload)
+
+
+def test_a_chain_truncated_after_its_header_is_one_error_line(tmp_path,
+                                                              run_ade):
+    header = io.MAGIC + struct.pack("<IBI", io.VERSION, 1, 4)
+    (tmp_path / "chain.adet").write_bytes(
+        header + struct.pack("<4Q", 3, 1, 8, 8))
+    proc = run_ade(["reverse", "--chain", "chain.adet", "--out", "o",
+                    "--record"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ade: error: FormatError:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (3, 0, 4, 4), (3, 4, 0)])
+def test_reverse_rejects_a_chain_without_a_step_or_a_field(workdir, capsys,
+                                                            shape):
+    io.write_tensor(workdir / "chain.adet", np.zeros(shape))
+    assert cli.main(["reverse", "--chain", "chain.adet", "--out", "o",
+                     "--record"]) == 1
+    assert "ValidationError" in _one_error_line(capsys)
+    assert not (workdir / "o").exists()
+
+
+def test_a_walk_that_fails_midway_leaves_no_trajectory(workdir, capsys,
+                                                       monkeypatch):
+    _reverse_chain(workdir / "chain.adet", np.float64)
+    real = reverse.OraclePredictor.predict
+
+    def fail_at_level_2(self, u_hat, k):
+        if k == 2:
+            raise PredictorTimeoutError("partner went away")
+        return real(self, u_hat, k)
+    monkeypatch.setattr(reverse.OraclePredictor, "predict", fail_at_level_2)
+    (workdir / "o").mkdir()
+    assert cli.main(["reverse", "--chain", "chain.adet", "--out", "o",
+                     "--record"]) == 1
+    assert "partner went away" in _one_error_line(capsys)
+    assert list((workdir / "o").iterdir()) == []

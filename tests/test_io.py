@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from ade import io
-from ade.errors import FormatError, ValidationError
+from ade.errors import (EngineError, FormatError, ShapeMismatchError,
+                        ValidationError)
 from ade.rng import CounterRng
 
 
@@ -277,6 +279,110 @@ def test_sha256_of_empty_file(tmp_path):
     path.write_bytes(b"")
     assert io.file_sha256(path) == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+
+def test_sha256_spans_its_read_blocks(tmp_path):
+    blob = (CounterRng(6, 0).uniforms(330_000) * 255).astype(np.uint8)
+    blob = blob.tobytes() * 8  # 2.5 MiB: two whole blocks and a part
+    path = tmp_path / "blob"
+    path.write_bytes(blob)
+    assert io.file_sha256(path) == hashlib.sha256(blob).hexdigest()
+
+
+def _chain_file(tmp_path, dtype=np.float64):
+    snaps = CounterRng(11, 0).uniforms(5 * 2 * 3 * 4).reshape(5, 2, 3, 4)
+    path = tmp_path / "chain.adet"
+    io.write_tensor(path, snaps.astype(dtype))
+    return path, snaps.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tensor_reader_reads_entries_by_offset(tmp_path, dtype):
+    path, snaps = _chain_file(tmp_path, dtype)
+    with io.open_tensor(path) as reader:
+        assert reader.shape == snaps.shape and reader.ndim == 4
+        assert reader.dtype == np.dtype(dtype) and len(reader) == 5
+        for k in (3, 0, 4, 1):  # in any order
+            assert reader[k].tobytes() == snaps[k].tobytes()
+        assert reader[-1].tobytes() == snaps[4].tobytes()  # the prior
+        assert reader[-5].tobytes() == snaps[0].tobytes()
+        assert reader.read().tobytes() == snaps.tobytes()
+        rows = list(reader)
+        rows[0][...] = -1.0  # each entry is an array of its own
+        assert reader[0].tobytes() == snaps[0].tobytes()
+
+
+def test_tensor_reader_rejects_bad_indices_with_typed_errors(tmp_path):
+    path, _ = _chain_file(tmp_path)
+    with io.open_tensor(path) as reader:
+        for bad in (5, -6, 1.0, slice(0, 2)):
+            with pytest.raises(EngineError, match="out of range"):
+                reader[bad]
+
+
+def test_tensor_reader_checks_the_header_like_read_tensor(tmp_path):
+    def bad_version(raw):
+        raw[4] = 9
+    path = _poke(tmp_path, "a.adet", bad_version)
+    with pytest.raises(FormatError, match=r"\(byte 4\)"):
+        with io.open_tensor(path):
+            pass
+    path = tmp_path / "b.adet"
+    io.write_tensor(path, np.ones((3, 2)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FormatError, match=r"payload is 40 bytes.*\(byte 29\)"):
+        with io.open_tensor(path):
+            pass
+
+
+def test_a_short_row_read_is_a_format_error(tmp_path):
+    # rows larger than the file buffer, so a row read reaches the disk
+    snaps = CounterRng(12, 0).uniforms(4 * 64 * 64).reshape(4, 64, 64)
+    path = tmp_path / "t.adet"
+    io.write_tensor(path, snaps)
+    with io.open_tensor(path) as reader:
+        with open(path, "r+b") as f:  # the file shrinks after the header
+            f.truncate(path.stat().st_size - 8)
+        assert reader[2].tobytes() == snaps[2].tobytes()
+        with pytest.raises(FormatError,
+                           match=rf"\(byte {37 + snaps.nbytes - 8}\)"):
+            reader[3]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tensor_writer_matches_write_tensor(tmp_path, dtype):
+    _, snaps = _chain_file(tmp_path)
+    io.write_tensor(tmp_path / "whole.adet", snaps.astype(dtype))
+    with io.tensor_writer(tmp_path / "rows.adet", snaps.shape,
+                          dtype) as writer:
+        for row in snaps:
+            writer.append(row)
+    assert ((tmp_path / "rows.adet").read_bytes()
+            == (tmp_path / "whole.adet").read_bytes())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_tensor_writer_left_early_or_miscounted_leaves_nothing(tmp_path):
+    path = tmp_path / "t.adet"
+    with pytest.raises(RuntimeError, match="walk failed"):
+        with io.tensor_writer(path, (3, 2)) as writer:
+            writer.append(np.ones(2))
+            raise RuntimeError("walk failed")
+    with pytest.raises(ValidationError, match="wrote 2 of 3"):
+        with io.tensor_writer(path, (3, 2)) as writer:
+            writer.append(np.ones(2))
+            writer.append(np.ones(2))
+    with pytest.raises(ValidationError, match="wrote 2 of 1"):
+        with io.tensor_writer(path, (1, 2)) as writer:
+            writer.append(np.ones(2))
+            writer.append(np.ones(2))
+    with pytest.raises(ShapeMismatchError):
+        with io.tensor_writer(path, (1, 2)) as writer:
+            writer.append(np.ones(3))
+    with pytest.raises(ValidationError):
+        with io.tensor_writer(path, (1, 2), np.int32):
+            pass
+    assert list(tmp_path.iterdir()) == []
 
 
 def _mutants(blob, rng, count):

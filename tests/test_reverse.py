@@ -126,6 +126,22 @@ def test_sample_validation():
         sample(chain.prior, Wrong(), 2, 0.0, CounterRng(0, 0))
 
 
+def test_the_sink_sees_every_state_the_recorded_walk_keeps():
+    chain = _chain(7)
+    states = []
+    out = sample(chain.prior, _HalfOracle(chain), chain.chain_length, 0.01,
+                 CounterRng(2, 0), sink=states.append)
+    ref_out, traj = sample(chain.prior, _HalfOracle(chain),
+                           chain.chain_length, 0.01, CounterRng(2, 0),
+                           record=True)
+    # states are never written after they are handed on, so kept ones hold
+    assert np.stack(states).tobytes() == traj.tobytes()
+    assert out.tobytes() == ref_out.tobytes()
+    with pytest.raises(ValidationError, match="not both"):
+        sample(chain.prior, ZeroPredictor(), 2, 0.0, CounterRng(0, 0),
+               record=True, sink=states.append)
+
+
 def test_slerp_endpoints_are_exact():
     a = CounterRng(8, 0).normal_field((6, 6))
     b = CounterRng(8, 1).normal_field((6, 6))
