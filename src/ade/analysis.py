@@ -59,8 +59,9 @@ class FitResult:
 def radial_energy_spectrum(field: np.ndarray) -> SpectrumProfile:
     """Shell-summed power spectrum of a 2D field."""
     field = np.asarray(field)
-    if field.ndim != 2:
-        raise ShapeMismatchError(f"field must be 2D, got {field.shape}")
+    if field.ndim != 2 or 0 in field.shape:
+        raise ShapeMismatchError(
+            f"field must be 2D and nonempty, got {field.shape}")
     if not np.all(np.isfinite(field)):
         raise NonFiniteFieldError("field contains NaN or Inf")
     ny, nx = field.shape

@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, io, reverse
 from .corruption import (CorruptionChain, NoiseParams, forward_chain,
                          precompute_dataset)
-from .errors import EngineError, ValidationError
+from .errors import EngineError, ShapeMismatchError, ValidationError
 from .params import REQUIRED, Param, add_flags, manifest, resolve
 from .rng import CounterRng
 from .schedule import DiffusionSchedule, fo_to_sigma, sigma_to_fo
@@ -232,6 +232,8 @@ def cmd_spectrum(p, args, out):
             stack = tensor[0] if tensor.ndim >= 3 else tensor.read()
     else:
         stack = io.read_image(path)[0]
+    if 0 in stack.shape:  # before indexing: an empty axis has no entry 0
+        raise ShapeMismatchError(f"tensor has an empty axis: {stack.shape}")
     field = stack[(0,) * (stack.ndim - 2)]  # first of every leading axis
     profile = analysis.radial_energy_spectrum(field)
     n = min(field.shape)

@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EngineError, ShapeMismatchError, ValidationError
-from .lattice import (
-    VelocityField,
-    init_from_image,
-    macro_update,
-    solver_step,
-)
+from .lattice import init_from_image, macro_update, solver_step
 from .rng import CounterRng, derive_seed
 from .schedule import DiffusionSchedule
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
@@ -94,10 +89,9 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     state = init_from_image(u0, dtype=dtype)  # checks shape and values
     height, width = state.shape
     taus, rms, boundaries = schedule.per_step()
-    total = schedule.lattice_steps
     k_chain = schedule.chain_length
 
-    if schedule.peclet > 0.0 and total > 0:
+    if schedule.peclet > 0.0 and schedule.lattice_steps > 0:
         if height != width:
             raise ValidationError(
                 f"Pe > 0 needs a square grid, got {height}x{width}")
@@ -110,25 +104,18 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         provider = lambda step: gen.generate(  # noqa: E731
             step, float(rms[step]))
     else:
-        zero = np.zeros((height, width))
-        still = VelocityField(zero, zero)
-        provider = lambda step: still  # noqa: E731
+        # the state's own zero field, whose all-ones factor is already built
+        provider = lambda step: state.vel  # noqa: E731
 
     snaps = np.empty((k_chain + 1,) + u0.shape, dtype=np.dtype(dtype))
     snaps[0] = u0
-
-    b = 1
-    while b <= k_chain and boundaries[b] == 0:
-        snaps[b] = snaps[0]
-        b += 1
-    for g in range(total):
-        solver_step(state, provider, float(taus[g]), g)
-        if b <= k_chain and boundaries[b] == g + 1:
-            current = macro_update(state)
-            while b <= k_chain and boundaries[b] == g + 1:
-                snaps[b] = current
-                b += 1
-    assert b == k_chain + 1
+    for k in range(1, k_chain + 1):
+        start, stop = boundaries[k - 1], boundaries[k]
+        for g in range(start, stop):
+            solver_step(state, provider, float(taus[g]), g)
+        # a zero-step level repeats the snapshot before it: at the start
+        # that is u0 itself, which the sum over f only approximates
+        snaps[k] = macro_update(state) if stop > start else snaps[k - 1]
     return CorruptionChain(snaps, schedule, seed, turbulence)
 
 

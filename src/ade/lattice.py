@@ -237,6 +237,15 @@ def stream(state: LatticeState) -> None:
         f[to] = f_new[frm]
 
 
+def _checked(state: LatticeState, vel: VelocityField) -> VelocityField:
+    """`vel`, once both of its components have the grid's shape."""
+    vx, vy = vel
+    if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
+        raise ShapeMismatchError(f"velocity shape {np.shape(vx)}/"
+                                 f"{np.shape(vy)} != grid {state.shape}")
+    return vel
+
+
 def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     """BGK relaxation toward equilibrium: f_new = (1 - 1/tau) f + (1/tau) f_eq.
 
@@ -256,10 +265,7 @@ def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     if not tau > 0.5:
         raise StabilityError(f"tau must exceed 1/2, got {tau}")
     if vel is not state.factor_of:
-        vx, vy = vel
-        if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
-            raise ShapeMismatchError(f"velocity shape {np.shape(vx)}/"
-                                     f"{np.shape(vy)} != grid {state.shape}")
+        vx, vy = _checked(state, vel)
         state.factor_of = None  # a failed build leaves no stale table
         velocity_factor(vx, vy, out=state.factor)
         state.still = not (np.any(vx) or np.any(vy))
@@ -321,11 +327,5 @@ def solver_step(state: LatticeState, vel_provider: VelocityProvider,
     """
     stream(state)
     collide(state, state.vel, tau)
-    vel = vel_provider(step_index)
-    vx, vy = vel
-    if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
-        raise ShapeMismatchError(
-            f"provider returned shape {np.shape(vx)}/{np.shape(vy)}, "
-            f"grid is {state.shape}")
-    state.vel = vel
+    state.vel = _checked(state, vel_provider(step_index))
     apply_bounce_back(state)

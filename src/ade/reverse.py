@@ -3,7 +3,9 @@
 The sampler walks k = K..1: perturb the current state with Gaussian noise,
 ask a predictor for the correction toward snapshot k-1, apply it. With the
 training convention delta = u_{k-1} - u_hat, a perfect predictor telescopes
-the walk back to the clean field regardless of the noise.
+the walk back to the clean field regardless of the noise. The noise comes
+from any object with `normal_field(shape)`: a `CounterRng` for a plain
+walk, a slerp of two seeds' draws for an interpolated one.
 """
 
 from __future__ import annotations
@@ -96,14 +98,16 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
            ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Run the reverse walk from the prior down to k = 1.
 
-    One noise field is drawn per step even when sigma_sample is 0 (the
-    perturbation is then exactly zero), keeping rng positions comparable
-    across sigma settings. The walk holds one state at a time and hands
-    each, the prior first, to `sink`, so a caller can stream the
-    trajectory to disk; no state is written to after it is handed on.
-    With record=True, they are instead copied into a trajectory
-    [steps + 1, ...] from prior to result, allocated once, and the walk
-    returns (result, trajectory). Arithmetic is float64.
+    `rng` is any object whose `normal_field(shape)` returns a fresh float64
+    array, such as a `CounterRng`; the walk scales it in place. One noise
+    field is drawn per step even when sigma_sample is 0 (the perturbation
+    is then exactly zero), keeping rng positions comparable across sigma
+    settings. The walk holds one state at a time and hands each, the
+    prior first, to `sink`, so a caller can stream the trajectory to
+    disk; no state is written to after it is handed on. With record=True,
+    they are instead copied into a trajectory [steps + 1, ...] from prior
+    to result, allocated once, and the walk returns (result, trajectory).
+    Arithmetic is float64.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -166,33 +170,35 @@ def interpolate_priors(chain_a: CorruptionChain, chain_b: CorruptionChain,
     return (1.0 - lam) * pa + lam * pb
 
 
+class _SlerpNoise:
+    """Noise for one interpolated walk: slerp(z_a, z_b, lam) of the draws
+    z_a, z_b that seeds a and b make in plain walks of their own."""
+
+    def __init__(self, seed_a: int, seed_b: int, lam: float):
+        self.rngs = (CounterRng(seed_a, 0), CounterRng(seed_b, 0))
+        self.lam = lam
+
+    def normal_field(self, shape: tuple[int, ...]) -> np.ndarray:
+        z_a, z_b = (rng.normal_field(shape) for rng in self.rngs)
+        return slerp(z_a, z_b, self.lam)
+
+
 def interpolate_sample(chain_a: CorruptionChain, chain_b: CorruptionChain,
                        predictor: Predictor, lambdas, sigma_sample: float,
                        seed_a: int, seed_b: int) -> np.ndarray:
     """Reverse walks from blended priors with angle-blended noise.
 
-    Each lambda starts from the linear blend of the priors and, at every
-    step, perturbs with sigma * slerp(z_a, z_b, lambda) where z_a and z_b
-    are the draws the two seeds would make on their own. lambda = 0 and 1
-    reproduce the plain per-seed walks bit for bit.
+    Each lambda is one `sample` walk from the linear blend of the priors,
+    whose noise source perturbs every step with slerp(z_a, z_b, lambda),
+    z_a and z_b being the draws the two seeds would make on their own.
+    lambda = 0 and 1 reproduce the plain per-seed walks bit for bit.
     """
     if chain_a.chain_length != chain_b.chain_length:
         raise ValidationError(
             f"chain lengths differ: {chain_a.chain_length} != "
             f"{chain_b.chain_length}")
-    steps = chain_a.chain_length
-    if steps < 1:
-        raise ValidationError("chains must have at least one step")
-    outputs = []
-    for lam in lambdas:
-        u = interpolate_priors(chain_a, chain_b, float(lam)).astype(
-            np.float64)
-        rng_a = CounterRng(seed_a, 0)
-        rng_b = CounterRng(seed_b, 0)
-        for k in range(steps, 0, -1):
-            z_a = rng_a.normal_field(u.shape)
-            z_b = rng_b.normal_field(u.shape)
-            u_hat = u + sigma_sample * slerp(z_a, z_b, float(lam))
-            u = u_hat + _checked_delta(predictor.predict(u_hat, k), u.shape)
-        outputs.append(u)
-    return np.stack(outputs)
+    return np.stack([
+        sample(interpolate_priors(chain_a, chain_b, float(lam)), predictor,
+               chain_a.chain_length, sigma_sample,
+               _SlerpNoise(seed_a, seed_b, float(lam)))
+        for lam in lambdas])

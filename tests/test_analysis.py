@@ -46,6 +46,12 @@ def test_spectrum_input_validation():
         analysis.radial_energy_spectrum(bad)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
+def test_spectrum_of_an_empty_field_is_a_shape_mismatch(shape):
+    with pytest.raises(ShapeMismatchError):
+        analysis.radial_energy_spectrum(np.zeros(shape))
+
+
 def test_band_energy_is_inclusive():
     prof = SpectrumProfile(np.arange(5), np.array([9.0, 1.0, 2.0, 4.0, 8.0]),
                            np.ones(5))

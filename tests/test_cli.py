@@ -493,6 +493,16 @@ def test_reverse_rejects_a_chain_without_a_step_or_a_field(workdir, capsys,
     assert not (workdir / "o").exists()
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 4, 4), (0, 5), (3, 4, 0),
+                                   (2, 3, 0, 4)])
+def test_spectrum_rejects_a_tensor_with_an_empty_axis(workdir, capsys,
+                                                      shape):
+    io.write_tensor(workdir / "x.adet", np.zeros(shape))
+    assert cli.main(["spectrum", "--in", "x.adet"]) == 1
+    assert _one_error_line(capsys).startswith(
+        "ade: error: ShapeMismatchError")
+
+
 def test_a_walk_that_fails_midway_leaves_no_trajectory(workdir, capsys,
                                                        monkeypatch):
     _reverse_chain(workdir / "chain.adet", np.float64)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from ade import io
+from ade import io, lattice
 from ade.corruption import (NoiseParams, add_training_noise, forward_chain,
                             make_training_pair, precompute_dataset,
                             regression_loss)
 from ade.errors import ShapeMismatchError, ValidationError
 from ade.rng import CounterRng
 from ade.schedule import DiffusionSchedule, sigma_to_fo
+
+import chain_reference
 
 
 def _field(seed, n=16, lo=0.25, span=0.5):
@@ -67,6 +69,63 @@ def test_zero_length_schedule_copies_the_input():
     assert chain.snapshots.shape == (3, 1, 16, 16)
     for k in range(3):
         assert np.array_equal(chain.snapshots[k, 0], _field(4))
+
+
+# sigma ladders (px) whose repeated levels take zero lattice steps: two at
+# the start (sigma 0 is Fo 0), two in the middle, two at the end
+_LADDERS = {
+    "leading": (0.0, 0.0, 0.7, 1.5),
+    "middle": (0.5, 1.0, 1.0, 1.0, 2.0),
+    "trailing": (0.5, 1.5, 1.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("peclet", [0.0, 0.1])
+@pytest.mark.parametrize("ladder", sorted(_LADDERS))
+def test_level_walk_matches_the_reference_bitwise(ladder, peclet, dtype,
+                                                   channels):
+    sch = DiffusionSchedule.from_levels(
+        [sigma_to_fo(s, 16) if s else 0.0 for s in _LADDERS[ladder]],
+        16.0, peclet=peclet)
+    _, _, boundaries = sch.per_step()
+    assert np.any(np.diff(boundaries) == 0)  # the ladder repeats a level
+    u0 = np.stack([_field(30 + c) for c in range(channels)])
+    chain = forward_chain(u0, sch, seed=8, dtype=dtype).snapshots
+    ref = chain_reference.forward_chain(u0, sch, seed=8, dtype=dtype)
+    assert chain.dtype == ref.dtype == dtype
+    assert chain.tobytes() == ref.tobytes()
+
+
+def _count_factor_builds(monkeypatch):
+    builds = []
+    real = lattice.velocity_factor
+
+    def counting(vx, vy, out=None):
+        builds.append(1)
+        return real(vx, vy, out)
+
+    monkeypatch.setattr(lattice, "velocity_factor", counting)
+    return builds
+
+
+def test_a_still_chain_builds_no_velocity_factor(monkeypatch):
+    builds = _count_factor_builds(monkeypatch)
+    sch = _schedule(sigmas=(0.5, 1.0, 1.0, 1.0, 2.0))
+    assert sch.lattice_steps == 13
+    forward_chain(np.stack([_field(9), _field(10)]), sch, seed=0)
+    assert builds == []
+
+
+def test_a_moving_chain_builds_one_factor_per_fetched_field(monkeypatch):
+    # step 0 collides with the state's zero field; each of the other steps
+    # with the field fetched the step before, a new object every time
+    builds = _count_factor_builds(monkeypatch)
+    sch = _schedule(sigmas=(0.5, 1.0, 1.0, 1.0, 2.0), peclet=0.1)
+    assert sch.lattice_steps == 14
+    forward_chain(_field(9), sch, seed=0)
+    assert len(builds) == 13
 
 
 def test_channels_share_the_velocity_field():

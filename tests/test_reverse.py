@@ -193,6 +193,37 @@ def test_interpolated_walk_matches_plain_walks_at_the_ends():
     assert not np.array_equal(grid[1], plain_a)
 
 
+def _reference_interpolate_sample(chain_a, chain_b, predictor, lambdas,
+                                  sigma_sample, seed_a, seed_b):
+    """The interpolated walk as its own double loop over lambdas and k."""
+    outputs = []
+    for lam in lambdas:
+        u = interpolate_priors(chain_a, chain_b, float(lam)).astype(
+            np.float64)
+        rng_a = CounterRng(seed_a, 0)
+        rng_b = CounterRng(seed_b, 0)
+        for k in range(chain_a.chain_length, 0, -1):
+            z_a = rng_a.normal_field(u.shape)
+            z_b = rng_b.normal_field(u.shape)
+            u_hat = u + sigma_sample * slerp(z_a, z_b, float(lam))
+            u = u_hat + np.asarray(predictor.predict(u_hat, k),
+                                   dtype=np.float64)
+        outputs.append(u)
+    return np.stack(outputs)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_interpolated_walk_matches_the_double_loop_bitwise(oracle):
+    ca, cb = _chain(13, chain_seed=0), _chain(14, chain_seed=1)
+    predictor = OraclePredictor(ca) if oracle else ZeroPredictor()
+    lambdas = [0.3, 0.5, 0.7]
+    grid = interpolate_sample(ca, cb, predictor, lambdas, 0.008,
+                              seed_a=21, seed_b=22)
+    ref = _reference_interpolate_sample(ca, cb, predictor, lambdas, 0.008,
+                                        21, 22)
+    assert grid.tobytes() == ref.tobytes()
+
+
 def _respond_like_oracle(directory, chain, steps, stop):
     """Play the external partner: answer each input with the oracle delta."""
     for k in range(steps, 0, -1):
