@@ -150,14 +150,16 @@ def cmd_gen_velocity(p, args, out):
 def cmd_corrupt(p, args, out):
     stack, _ = io.read_image(p["in_path"])
     schedule = _make_schedule(p, stack.shape[2])
-    snaps = forward_chain(stack, schedule, p["seed"],
-                          turbulence=_flow(p, stack.shape),
-                          dtype=_DTYPES[p["precision"]]).snapshots
-    io.write_tensor(out / "chain.adet", snaps)
-    if args.plot:  # write_image clamps to [0, 1]
-        for k in range(snaps.shape[0]):
-            io.write_image(out / f"snapshot_{k}.pgm", snaps[k])
-    print(f"chain.adet shape={snaps.shape} "
+    shape = (schedule.chain_length + 1,) + stack.shape
+    dtype = _DTYPES[p["precision"]]
+    with io.tensor_writer(out / "chain.adet", shape, dtype) as chain:
+        forward_chain(stack, schedule, p["seed"], _flow(p, stack.shape),
+                      dtype, sink=chain.append)
+    if args.plot:  # from the written chain; write_image clamps to [0, 1]
+        with io.open_tensor(out / "chain.adet") as snaps:
+            for k, snap in enumerate(snaps):
+                io.write_image(out / f"snapshot_{k}.pgm", snap)
+    print(f"chain.adet shape={shape} "
           f"lattice_steps={schedule.lattice_steps}")
     return {"input_sha256": io.file_sha256(p["in_path"]),
             **_outputs(out, "chain.adet")}

@@ -2,8 +2,10 @@
 
 A chain runs the lattice solver through a DiffusionSchedule and stores the
 K + 1 macroscopic snapshots (clean field first, fully corrupted prior
-last). The channels of an image step as one lattice state: they evolve
-independently but share the velocity field, generated once per step.
+last), or hands each to a sink as it is formed, so a chain can be written
+to disk holding one snapshot. The channels of an image step as one lattice
+state: they evolve independently but share the velocity field, generated
+once per step.
 Training noise is never folded back into the chain; it is added on the fly
 when a pair is requested.
 """
@@ -75,20 +77,30 @@ class CorruptionChain:
 
 def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
                   turbulence: TurbulenceSpec | None = None,
-                  dtype=np.float64) -> CorruptionChain:
+                  dtype=np.float64,
+                  sink: Callable[[np.ndarray], object] | None = None,
+                  ) -> CorruptionChain | None:
     """Run the schedule on u0 and collect every snapshot.
 
     Snapshot 0 is u0 cast to `dtype`: u0 itself, bit for bit, at float64,
     and u0 rounded to float32 at float32. With Pe > 0 the grid must be
     square (the spectral generator is N x N); `turbulence` defaults to the
     grid-sized spec with the schedule's velocity cap.
+
+    With a `sink`, snapshots 0..K are handed to it in order, a zero-step
+    level repeating the one before, and none is kept: the walk returns
+    None. Every snapshot is the same [C, H, W] array of `dtype`, which the
+    walk overwrites once the sink returns, so a sink that keeps one must
+    copy it. Without a sink, they are copied into the [K+1, C, H, W]
+    snapshots of the returned chain.
     """
     u0 = np.asarray(u0)
     if u0.ndim == 2:
         u0 = u0[None]
+    # the per-step arrays first: their build peak comes before the lattice's
+    taus, rms, boundaries = schedule.per_step()
     state = init_from_image(u0, dtype=dtype)  # checks shape and values
     height, width = state.shape
-    taus, rms, boundaries = schedule.per_step()
     k_chain = schedule.chain_length
 
     if schedule.peclet > 0.0 and schedule.lattice_steps > 0:
@@ -104,19 +116,29 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         provider = lambda step: gen.generate(  # noqa: E731
             step, float(rms[step]))
     else:
-        # the state's own zero field, whose all-ones factor is already built
+        # the state's own zero field, already classified as still
         provider = lambda step: state.vel  # noqa: E731
 
-    snaps = np.empty((k_chain + 1,) + u0.shape, dtype=np.dtype(dtype))
-    snaps[0] = u0
+    chain = None
+    if sink is None:
+        snaps = np.empty((k_chain + 1,) + u0.shape, dtype=state.dtype)
+        chain = CorruptionChain(snaps, schedule, seed, turbulence)
+        rows = iter(snaps)
+        sink = lambda snap: np.copyto(next(rows), snap)  # noqa: E731
+    # each snapshot is formed in the state's sum buffer, free between
+    # steps. A zero-step level repeats the snapshot before it: at the start
+    # that is u0 itself, which the sum over f only approximates
+    snap = state.u
+    snap[...] = u0
+    sink(snap)
     for k in range(1, k_chain + 1):
         start, stop = boundaries[k - 1], boundaries[k]
         for g in range(start, stop):
             solver_step(state, provider, float(taus[g]), g)
-        # a zero-step level repeats the snapshot before it: at the start
-        # that is u0 itself, which the sum over f only approximates
-        snaps[k] = macro_update(state) if stop > start else snaps[k - 1]
-    return CorruptionChain(snaps, schedule, seed, turbulence)
+        if stop > start:
+            macro_update(state, out=snap)
+        sink(snap)
+    return chain
 
 
 def add_training_noise(u: np.ndarray, sigma: float,
@@ -174,9 +196,10 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
     expected [C, H, W]; unreadable or mismatched files are recorded as
     errors and the batch continues. `schedule` and `turbulence` may each be
     given as a function of that [C, H, W] shape, for recipes that depend
-    on the image size. Each chain is written as soon as it is done. Returns
-    a report dict with `written` (chain file name -> sha256) and `errors`
-    (image name -> message).
+    on the image size. Each chain is streamed to its file one snapshot at a
+    time, so only one snapshot of it is held. Returns a report dict with
+    `written` (chain file name -> sha256) and `errors` (image name ->
+    message).
     """
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
@@ -205,10 +228,12 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
             errors[name] = (
                 f"shape {stack.shape} does not match {ref_shape}")
             continue
-        chain = forward_chain(stack, schedule, derive_seed(seed, index),
-                              turbulence=turbulence, dtype=dtype)
         out_name = Path(name).stem + "_chain.adet"
-        io.write_tensor(out_dir / out_name, chain.snapshots)
+        with io.tensor_writer(out_dir / out_name,
+                              (schedule.chain_length + 1,) + stack.shape,
+                              dtype) as chain:
+            forward_chain(stack, schedule, derive_seed(seed, index),
+                          turbulence, dtype, sink=chain.append)
         written[out_name] = io.file_sha256(out_dir / out_name)
     if ref_shape is None:
         raise ValidationError(f"no readable images in {input_dir}")

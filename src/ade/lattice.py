@@ -21,7 +21,8 @@ has F_k = 1.0 exactly, and x * 1.0 = x, so `collide` then skips the table.
 It forms w u once per weight class (rest, axes, diagonals) instead of once
 per direction and scales it by omega once: the same roundings in the same
 order as the nine-direction loop, since IEEE addition commutes. Chains are
-the same bits either way.
+the same bits either way. The 9 x H x W table is allocated when the first
+moving field arrives, so a state that only ever sees still flows has none.
 """
 
 from __future__ import annotations
@@ -149,10 +150,12 @@ class LatticeState:
     `f_new` is the live buffer between steps; `f` is the staging buffer the
     pull-stream writes into. `init_from_image` sets both to the rest
     equilibrium of its field. `vel` holds the advection field to be used by
-    the next collision (zero at init, matching the reference loop), and
-    `factor` its velocity factor, built from the field object `factor_of`;
-    `still` says that field is zero everywhere, so the table is all ones.
-    `moves` holds the (destination, source) slices `stream` copies.
+    the next collision (zero at init, matching the reference loop).
+    `factor_of` is the field object `collide` last classified: `still`
+    says it is zero everywhere, and otherwise `factor` holds its velocity
+    factor. `factor` is None until the first moving field, and is then
+    allocated once and rebuilt in place. `moves` holds the (destination,
+    source) slices `stream` copies.
     """
 
     def __init__(self, nx: int, ny: int, dtype=np.float64,
@@ -169,16 +172,17 @@ class LatticeState:
         field = tuple(channels) + (self.ny, self.nx)
         self.f = np.zeros((9,) + field, dtype=self.dtype)
         self.f_new = np.zeros((9,) + field, dtype=self.dtype)
-        zero = np.zeros(self.shape)
+        zero = np.broadcast_to(0.0, self.shape)  # one value, read-only
         self.vel = VelocityField(zero, zero)
-        self.factor = np.ones((9,) + self.shape)  # F_k of the zero field
+        self.factor = None
         self.factor_of = self.vel
         self.still = True
         # collide's work buffers: sum_k f_k, w_k u in float64, and rest in
         # the state dtype, which shares the float64 one in a float64 state.
         # A moving flow puts f_k (1 - omega) in rest (w_k u is consumed
         # before it is written); a still one puts (w u) omega there, once
-        # per weight class
+        # per weight class. Between steps none is live, so a caller may
+        # use u, as `forward_chain` does for its snapshots
         self.u = np.empty(field, dtype=self.dtype)
         self.wu = np.empty(field)
         self.rest = (self.wu if self.dtype == np.float64
@@ -212,15 +216,17 @@ def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
         raise NonFiniteFieldError("initial field contains NaN or Inf")
     ny, nx = u0.shape[-2:]
     state = LatticeState(nx, ny, dtype=dtype, channels=u0.shape[:-2])
-    np.multiply(W.reshape((9,) + (1,) * u0.ndim), u0.astype(state.dtype),
-                out=state.f)
+    np.multiply(W.reshape((9,) + (1,) * u0.ndim),
+                u0.astype(state.dtype, copy=False), out=state.f)
     state.f_new[:] = state.f
     return state
 
 
-def macro_update(state: LatticeState) -> np.ndarray:
-    """Macroscopic field u = sum_k f_k at every node."""
-    return state.f.sum(axis=0)
+def macro_update(state: LatticeState,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Macroscopic field u = sum_k f_k at every node, written into `out`
+    if given."""
+    return np.sum(state.f, axis=0, out=out)
 
 
 def stream(state: LatticeState) -> None:
@@ -250,25 +256,28 @@ def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
     """BGK relaxation toward equilibrium: f_new = (1 - 1/tau) f + (1/tau) f_eq.
 
     The macroscopic field is taken as sum_k f_k at each node; the velocity
-    factor of f_eq broadcasts over the channel axes. It is rebuilt only when
-    `vel` is not the object it was last built from: a `VelocityField` is a
-    value; hand over a new one when the flow changes, and return the same
-    object for an unchanged flow. Per-node mass is preserved for any
-    tau > 1/2; the update is a contraction toward equilibrium for tau >= 1.
+    factor of f_eq broadcasts over the channel axes. `vel` is classified,
+    and its factor built, only when it is not the object last classified:
+    a `VelocityField` is a value; hand over a new one when the flow
+    changes, and return the same object for an unchanged flow. Per-node
+    mass is preserved for any tau > 1/2; the update is a contraction
+    toward equilibrium for tau >= 1.
 
     When every velocity is +0 or -0 the factor is 1.0 exactly, and
-    (w_k u) * 1.0 = w_k u, so the table is not read: w u is formed once per
-    weight class, rounded to the state dtype, scaled by omega, and added to
-    each f_k (1 - omega) of the class. Those are the roundings of the
-    moving-flow loop in its order (addition commutes), so the bits agree.
+    (w_k u) * 1.0 = w_k u, so the table is neither built nor read: w u is
+    formed once per weight class, rounded to the state dtype, scaled by
+    omega, and added to each f_k (1 - omega) of the class. Those are the
+    roundings of the moving-flow loop in its order (addition commutes), so
+    the bits agree. The first moving field allocates the table.
     """
     if not tau > 0.5:
         raise StabilityError(f"tau must exceed 1/2, got {tau}")
     if vel is not state.factor_of:
         vx, vy = _checked(state, vel)
         state.factor_of = None  # a failed build leaves no stale table
-        velocity_factor(vx, vy, out=state.factor)
         state.still = not (np.any(vx) or np.any(vy))
+        if not state.still:
+            state.factor = velocity_factor(vx, vy, out=state.factor)
         state.factor_of = vel
     omega = 1.0 / tau
     f, f_new, wu, rest = state.f, state.f_new, state.wu, state.rest

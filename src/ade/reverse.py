@@ -197,8 +197,10 @@ def interpolate_sample(chain_a: CorruptionChain, chain_b: CorruptionChain,
         raise ValidationError(
             f"chain lengths differ: {chain_a.chain_length} != "
             f"{chain_b.chain_length}")
-    return np.stack([
-        sample(interpolate_priors(chain_a, chain_b, float(lam)), predictor,
-               chain_a.chain_length, sigma_sample,
-               _SlerpNoise(seed_a, seed_b, float(lam)))
-        for lam in lambdas])
+    walks = [sample(interpolate_priors(chain_a, chain_b, float(lam)),
+                    predictor, chain_a.chain_length, sigma_sample,
+                    _SlerpNoise(seed_a, seed_b, float(lam)))
+             for lam in lambdas]
+    if not walks:
+        raise ValidationError("need at least one lambda")
+    return np.stack(walks)

@@ -1,3 +1,4 @@
+import gc
 import struct
 import tracemalloc
 
@@ -467,6 +468,68 @@ def test_recorded_reverse_holds_one_snapshot_not_the_chain(workdir):
     # header: magic, version, dtype, ndim and four dims
     assert ((workdir / "o" / "trajectory.adet").stat().st_size
             == 13 + 8 * 4 + payload)
+
+
+def test_streamed_corrupt_holds_one_snapshot_not_the_chain(workdir):
+    # K = 16 levels of 1x128x128 float64: a 2.2 MB payload, against 2.4 MB
+    # of populations; neither the chain nor a velocity table is held
+    _field_image(workdir / "a.pgm", 5, n=128)
+    argv = ["corrupt", "--in", "a.pgm", "--steps", "16", "--sigma-max", "8"]
+    assert cli.main(argv + ["--out", "warm"]) == 0  # first-use imports
+    payload = 17 * 128 * 128 * 8
+    populations = 2 * 9 * 128 * 128 * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv + ["--out", "o"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < populations + payload / 4
+    assert ((workdir / "o" / "chain.adet").stat().st_size
+            == 13 + 8 * 4 + payload)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_corrupt_plot_writes_every_snapshot(workdir, precision):
+    field = CounterRng(6, 0).uniforms(3 * 12 * 12).reshape(3, 12, 12)
+    io.write_image(workdir / "a.ppm", field)
+    assert cli.main(["corrupt", "--in", "a.ppm", "--out", "o", "--steps",
+                     "3", "--pe", "0.1", "--precision", precision,
+                     "--plot"]) == 0
+    chain = io.read_tensor(workdir / "o" / "chain.adet")
+    assert chain.shape == (4, 3, 12, 12)
+    assert sorted(p.name for p in (workdir / "o").glob("*.pgm")) == [
+        f"snapshot_{k}.pgm" for k in range(4)]
+    for k, snap in enumerate(chain):
+        io.write_image(workdir / "expect.pgm", snap)
+        assert ((workdir / "o" / f"snapshot_{k}.pgm").read_bytes()
+                == (workdir / "expect.pgm").read_bytes()), k
+
+
+@pytest.mark.parametrize("argv", [["corrupt", "--in", "a.pgm", "--plot"],
+                                  ["chain", "--in-dir", "in"]],
+                         ids=["corrupt", "chain"])
+def test_a_chain_that_fails_midway_leaves_no_file(workdir, capsys,
+                                                  monkeypatch, argv):
+    _field_image(workdir / "a.pgm", 1)
+    (workdir / "in").mkdir()
+    _field_image(workdir / "in" / "a.pgm", 2)
+    real = io.TensorWriter.append
+
+    def fail_at_level_2(self, row):
+        if self.count == 2:
+            raise OSError("disk full")
+        real(self, row)
+    monkeypatch.setattr(io.TensorWriter, "append", fail_at_level_2)
+    assert cli.main(argv + ["--out", "o", "--steps", "3"]) == 1
+    assert "disk full" in _one_error_line(capsys)
+    assert not (workdir / "o").exists()
+    (workdir / "o").mkdir()
+    assert cli.main(argv + ["--out", "o", "--steps", "3"]) == 1
+    assert "disk full" in _one_error_line(capsys)
+    assert list((workdir / "o").iterdir()) == []
 
 
 def test_a_chain_truncated_after_its_header_is_one_error_line(tmp_path,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,39 @@ def test_level_walk_matches_the_reference_bitwise(ladder, peclet, dtype,
     ref = chain_reference.forward_chain(u0, sch, seed=8, dtype=dtype)
     assert chain.dtype == ref.dtype == dtype
     assert chain.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("peclet", [0.0, 0.1])
+def test_the_sink_sees_every_snapshot_of_the_chain(peclet, dtype):
+    # two leading zero-step levels: the sink sees u0 three times
+    sch = DiffusionSchedule.from_levels(
+        [0.0, 0.0] + [sigma_to_fo(s, 16) for s in (0.7, 1.5, 1.5)], 16.0,
+        peclet=peclet)
+    u0 = np.stack([_field(40), _field(41)])
+    seen = []
+    assert forward_chain(u0, sch, 9, dtype=dtype,
+                         sink=lambda snap: seen.append(snap.copy())) is None
+    chain = forward_chain(u0, sch, 9, dtype=dtype).snapshots
+    assert len(seen) == sch.chain_length + 1 == chain.shape[0]
+    assert all(snap.dtype == dtype for snap in seen)
+    assert np.stack(seen).tobytes() == chain.tobytes()
+
+
+def test_a_streamed_still_chain_holds_no_table_and_no_chain():
+    # 17 snapshots of 128x128 float64 are 2.2 MB, a 9x128x128 table 1.2 MB
+    u0 = _field(42, n=128)
+    sch = _schedule(n=128, sigmas=np.geomspace(0.5, 32.0, 16))
+    payload = 17 * u0.nbytes
+    populations = 2 * 9 * u0.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward_chain(u0, sch, 0, sink=lambda snap: None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < populations + payload / 4
 
 
 def _count_factor_builds(monkeypatch):

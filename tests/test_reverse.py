@@ -193,6 +193,14 @@ def test_interpolated_walk_matches_plain_walks_at_the_ends():
     assert not np.array_equal(grid[1], plain_a)
 
 
+def test_interpolated_walk_needs_a_lambda():
+    ca, cb = _chain(13, chain_seed=0), _chain(14, chain_seed=1)
+    for lambdas in ([], (), iter([])):
+        with pytest.raises(ValidationError, match="at least one lambda"):
+            interpolate_sample(ca, cb, ZeroPredictor(), lambdas, 0.008,
+                               seed_a=21, seed_b=22)
+
+
 def _reference_interpolate_sample(chain_a, chain_b, predictor, lambdas,
                                   sigma_sample, seed_a, seed_b):
     """The interpolated walk as its own double loop over lambdas and k."""
