@@ -131,16 +131,24 @@ def cmd_schedule(p, args, out):
     Param("rms", float, 1e-3, "target RMS speed"), CAP],
     out=True, switches=("plot",))
 def cmd_gen_velocity(p, args, out):
-    gen = TurbulenceGenerator(_turbulence(p, p["size"]), p["seed"])
-    fields = np.stack([np.stack(gen.generate(t, p["rms"]))
-                       for t in range(p["vel_steps"])])
-    io.write_tensor(out / "velocity.adet", fields)
-    speed = np.sqrt(fields[:, 0] ** 2 + fields[:, 1] ** 2)
-    if args.plot:
-        for t in range(p["vel_steps"]):
-            io.write_heatmap(out / f"speed_{t}.pgm", speed[t])
-    print(f"velocity.adet shape={fields.shape} "
-          f"max_speed={float(speed.max())!r}")
+    steps, size = p["vel_steps"], p["size"]
+    if steps < 1:
+        raise ValidationError(f"vel_steps must be >= 1, got {steps}")
+    gen = TurbulenceGenerator(_turbulence(p, size), p["seed"])
+    shape = (steps, 2, size, size)
+    peaks = []  # the largest speed of each step
+    with io.tensor_writer(out / "velocity.adet", shape) as fields:
+        for t in range(steps):
+            vel = gen.generate(t, p["rms"])
+            fields.append(np.stack(vel))
+            peaks.append(np.sqrt(vel.vx ** 2 + vel.vy ** 2).max())
+    if args.plot:  # from the written fields, one step at a time
+        with io.open_tensor(out / "velocity.adet") as fields:
+            for t, (vx, vy) in enumerate(fields):
+                io.write_heatmap(out / f"speed_{t}.pgm",
+                                 np.sqrt(vx ** 2 + vy ** 2))
+    print(f"velocity.adet shape={shape} "
+          f"max_speed={float(np.max(peaks))!r}")
     return _outputs(out, "velocity.adet")
 
 

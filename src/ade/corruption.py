@@ -51,16 +51,10 @@ class NoiseParams:
 
 @dataclass
 class CorruptionChain:
-    """Snapshots [K+1, C, H, W] plus the recipe that produced them.
+    """Snapshots [K+1, C, H, W], clean field first, prior last: an array,
+    or a reader from `io.open_tensor` that reads entry k on `[k]`."""
 
-    `schedule` may be None for chains rehydrated from a tensor file; the
-    snapshots alone are enough for sampling.
-    """
-
-    snapshots: np.ndarray
-    schedule: DiffusionSchedule | None = None
-    seed: int = 0
-    turbulence: TurbulenceSpec | None = None
+    snapshots: np.ndarray | io.TensorReader
 
     @property
     def chain_length(self) -> int:
@@ -116,13 +110,12 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         provider = lambda step: gen.generate(  # noqa: E731
             step, float(rms[step]))
     else:
-        # the state's own zero field, already classified as still
-        provider = lambda step: state.vel  # noqa: E731
+        provider = lambda step: None  # noqa: E731  no flow
 
     chain = None
     if sink is None:
         snaps = np.empty((k_chain + 1,) + u0.shape, dtype=state.dtype)
-        chain = CorruptionChain(snaps, schedule, seed, turbulence)
+        chain = CorruptionChain(snaps)
         rows = iter(snaps)
         sink = lambda snap: np.copyto(next(rows), snap)  # noqa: E731
     # each snapshot is formed in the state's sum buffer, free between

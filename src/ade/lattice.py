@@ -10,19 +10,15 @@ wraps toroidally, so it permutes populations and conserves mass exactly;
 the wall update rewrites the ring before the interior ever consumes a
 wrapped value, so the interior sees a closed box, not a torus.
 
-The velocity part of the equilibrium, F_k = 1 + 3 c.v + 4.5 (c.v)^2 - 1.5
-v.v, is kept in the state and rebuilt only when `collide` is handed a
-different `VelocityField` object than the one it was built from. So a
-`VelocityField` is a value; hand over a new one when the flow changes, and
-return the same object for an unchanged flow.
-
-A still flow, every component +0 or -0 (Pe = 0, pure heat dissipation),
-has F_k = 1.0 exactly, and x * 1.0 = x, so `collide` then skips the table.
-It forms w u once per weight class (rest, axes, diagonals) instead of once
-per direction and scales it by omega once: the same roundings in the same
-order as the nine-direction loop, since IEEE addition commutes. Chains are
-the same bits either way. The 9 x H x W table is allocated when the first
-moving field arrives, so a state that only ever sees still flows has none.
+A flow is an argument: `collide` takes a `VelocityField`, or None for no
+flow (Pe = 0, pure heat dissipation). A field has the velocity part of the
+equilibrium, F_k = 1 + 3 c.v + 4.5 (c.v)^2 - 1.5 v.v, built at every
+collide into a 9 x H x W table allocated with the first field, so a
+provider may refill one field's arrays in place. With None, F_k = 1.0
+exactly and x * 1.0 = x, so `collide` forms w u once per weight class
+(rest, axes, diagonals), not once per direction, and scales it by omega
+once: the loop's roundings in its order, as IEEE addition commutes. A
+field of +0 and -0 takes the loop, where F_k is 1.0 too; the bits agree.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ class VelocityField(NamedTuple):
     vy: np.ndarray
 
 
-VelocityProvider = Callable[[int], VelocityField]
+VelocityProvider = Callable[[int], VelocityField | None]
 
 
 def alpha_from_tau(tau: float) -> float:
@@ -150,10 +146,9 @@ class LatticeState:
     `f_new` is the live buffer between steps; `f` is the staging buffer the
     pull-stream writes into. `init_from_image` sets both to the rest
     equilibrium of its field. `vel` holds the advection field to be used by
-    the next collision (zero at init, matching the reference loop).
-    `factor_of` is the field object `collide` last classified: `still`
-    says it is zero everywhere, and otherwise `factor` holds its velocity
-    factor. `factor` is None until the first moving field, and is then
+    the next collision (None, no flow, at init, matching the reference
+    loop's zero field). `factor` holds the velocity factor of the last
+    field collided; it is None until the first field, and is then
     allocated once and rebuilt in place. `moves` holds the (destination,
     source) slices `stream` copies.
     """
@@ -172,17 +167,14 @@ class LatticeState:
         field = tuple(channels) + (self.ny, self.nx)
         self.f = np.zeros((9,) + field, dtype=self.dtype)
         self.f_new = np.zeros((9,) + field, dtype=self.dtype)
-        zero = np.broadcast_to(0.0, self.shape)  # one value, read-only
-        self.vel = VelocityField(zero, zero)
+        self.vel = None
         self.factor = None
-        self.factor_of = self.vel
-        self.still = True
         # collide's work buffers: sum_k f_k, w_k u in float64, and rest in
         # the state dtype, which shares the float64 one in a float64 state.
-        # A moving flow puts f_k (1 - omega) in rest (w_k u is consumed
-        # before it is written); a still one puts (w u) omega there, once
-        # per weight class. Between steps none is live, so a caller may
-        # use u, as `forward_chain` does for its snapshots
+        # A flow puts f_k (1 - omega) in rest (w_k u is consumed before it
+        # is written); no flow puts (w u) omega there, once per weight
+        # class. Between steps none is live, so a caller may use u, as
+        # `forward_chain` does for its snapshots
         self.u = np.empty(field, dtype=self.dtype)
         self.wu = np.empty(field)
         self.rest = (self.wu if self.dtype == np.float64
@@ -195,14 +187,6 @@ class LatticeState:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
-
-    @property
-    def vx(self) -> np.ndarray:
-        return self.vel[0]
-
-    @property
-    def vy(self) -> np.ndarray:
-        return self.vel[1]
 
 
 def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
@@ -243,46 +227,39 @@ def stream(state: LatticeState) -> None:
         f[to] = f_new[frm]
 
 
-def _checked(state: LatticeState, vel: VelocityField) -> VelocityField:
-    """`vel`, once both of its components have the grid's shape."""
-    vx, vy = vel
-    if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
-        raise ShapeMismatchError(f"velocity shape {np.shape(vx)}/"
-                                 f"{np.shape(vy)} != grid {state.shape}")
+def _checked(state: LatticeState,
+             vel: VelocityField | None) -> VelocityField | None:
+    """`vel`, once it is None or both of its components have the grid's
+    shape."""
+    if vel is not None:
+        vx, vy = vel
+        if np.shape(vx) != state.shape or np.shape(vy) != state.shape:
+            raise ShapeMismatchError(f"velocity shape {np.shape(vx)}/"
+                                     f"{np.shape(vy)} != grid {state.shape}")
     return vel
 
 
-def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
+def collide(state: LatticeState, vel: VelocityField | None,
+            tau: float) -> None:
     """BGK relaxation toward equilibrium: f_new = (1 - 1/tau) f + (1/tau) f_eq.
 
     The macroscopic field is taken as sum_k f_k at each node; the velocity
-    factor of f_eq broadcasts over the channel axes. `vel` is classified,
-    and its factor built, only when it is not the object last classified:
-    a `VelocityField` is a value; hand over a new one when the flow
-    changes, and return the same object for an unchanged flow. Per-node
-    mass is preserved for any tau > 1/2; the update is a contraction
-    toward equilibrium for tau >= 1.
-
-    When every velocity is +0 or -0 the factor is 1.0 exactly, and
-    (w_k u) * 1.0 = w_k u, so the table is neither built nor read: w u is
-    formed once per weight class, rounded to the state dtype, scaled by
-    omega, and added to each f_k (1 - omega) of the class. Those are the
-    roundings of the moving-flow loop in its order (addition commutes), so
-    the bits agree. The first moving field allocates the table.
+    factor of f_eq broadcasts over the channel axes. Per-node mass is
+    preserved for any tau > 1/2; the update is a contraction toward
+    equilibrium for tau >= 1. `vel` None means no flow, and no table is
+    allocated or read; a `VelocityField` has its factor built into
+    `state.factor` at every call, so its arrays may be refilled in place
+    between calls. Without a flow, w u is formed once per weight class,
+    rounded to the state dtype, scaled by omega and added to each f_k (1 -
+    omega) of the class: the loop's roundings in its order, so the bits
+    agree.
     """
     if not tau > 0.5:
         raise StabilityError(f"tau must exceed 1/2, got {tau}")
-    if vel is not state.factor_of:
-        vx, vy = _checked(state, vel)
-        state.factor_of = None  # a failed build leaves no stale table
-        state.still = not (np.any(vx) or np.any(vy))
-        if not state.still:
-            state.factor = velocity_factor(vx, vy, out=state.factor)
-        state.factor_of = vel
     omega = 1.0 / tau
     f, f_new, wu, rest = state.f, state.f_new, state.wu, state.rest
     u = np.sum(f, axis=0, out=state.u)
-    if state.still:
+    if vel is None:
         for ks in WEIGHT_CLASSES:
             # w u in float64, rounded to the state dtype as in the loop below
             np.multiply(W[ks.start], u, out=rest, dtype=np.float64)
@@ -291,6 +268,7 @@ def collide(state: LatticeState, vel: VelocityField, tau: float) -> None:
             np.multiply(f[ks], 1.0 - omega, out=out)
             out += rest
         return
+    state.factor = velocity_factor(*_checked(state, vel), out=state.factor)
     for k in range(9):
         # (w_k u) F_k in float64, rounded to the state dtype as `equilibrium`
         # then astype would; IEEE addition commutes, so adding f_k (1 -
@@ -329,10 +307,10 @@ def solver_step(state: LatticeState, vel_provider: VelocityProvider,
 
     Stream, collide with the previously fetched velocity, fetch the field
     for the next step from `vel_provider(step_index)`, then apply the wall
-    update. The very first step therefore collides with the zero field.
-    The fetched object is kept as is, so a provider that returns the same
-    `VelocityField` object for an unchanged flow has its velocity factor
-    built once; it must return a new object when the flow changes.
+    update. The very first step therefore collides with no flow. The
+    provider returns a `VelocityField`, a new one or the same one refilled
+    in place, or None for no flow; a field is shape-checked here and has
+    its factor built at the collide that uses it.
     """
     stream(state)
     collide(state, state.vel, tau)

@@ -10,6 +10,7 @@ from ade.corruption import CorruptionChain
 from ade.errors import PredictorTimeoutError
 from ade.params import resolve
 from ade.rng import CounterRng
+from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
 
 
 
@@ -506,6 +507,48 @@ def test_corrupt_plot_writes_every_snapshot(workdir, precision):
         io.write_image(workdir / "expect.pgm", snap)
         assert ((workdir / "o" / f"snapshot_{k}.pgm").read_bytes()
                 == (workdir / "expect.pgm").read_bytes()), k
+
+
+def test_streamed_gen_velocity_holds_one_step_not_the_fields(workdir):
+    # 32 steps of 2x128x128 float64: an 8.4 MB payload
+    argv = ["gen-velocity", "--size", "128", "--vel-steps", "32"]
+    assert cli.main(argv + ["--out", "warm"]) == 0  # first-use imports
+    payload = 32 * 2 * 128 * 128 * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv + ["--out", "o"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 2
+    assert ((workdir / "o" / "velocity.adet").stat().st_size
+            == 13 + 8 * 4 + payload)
+
+
+def test_gen_velocity_writes_the_stacked_fields(workdir, capsys):
+    assert cli.main(["gen-velocity", "--size", "24", "--vel-steps", "3",
+                     "--rms", "2e-4", "--seed", "5", "--out", "o",
+                     "--plot"]) == 0
+    # the fields and speeds as one stack, written whole
+    gen = TurbulenceGenerator(TurbulenceSpec(size=24), 5)
+    fields = np.stack([np.stack(gen.generate(t, 2e-4)) for t in range(3)])
+    speed = np.sqrt(fields[:, 0] ** 2 + fields[:, 1] ** 2)
+    io.write_tensor(workdir / "expect.adet", fields)
+    assert ((workdir / "o" / "velocity.adet").read_bytes()
+            == (workdir / "expect.adet").read_bytes())
+    assert capsys.readouterr().out == (
+        f"velocity.adet shape=(3, 2, 24, 24) "
+        f"max_speed={float(speed.max())!r}\n")
+    for t in range(3):
+        io.write_heatmap(workdir / "expect.pgm", speed[t])
+        assert ((workdir / "o" / f"speed_{t}.pgm").read_bytes()
+                == (workdir / "expect.pgm").read_bytes()), t
+    assert cli.main(["gen-velocity", "--size", "24", "--vel-steps", "0",
+                     "--out", "none"]) == 1
+    assert "vel_steps must be >= 1" in _one_error_line(capsys)
+    assert not (workdir / "none").exists()
 
 
 @pytest.mark.parametrize("argv", [["corrupt", "--in", "a.pgm", "--plot"],

@@ -197,7 +197,7 @@ def test_first_step_collides_with_zero_velocity():
     lattice.solver_step(st_b, lambda s: VelocityField(zero, zero), 0.8, 0)
     # the differing fetch is stored but has not influenced the physics yet
     assert np.array_equal(st_a.f_new, st_b.f_new)
-    assert st_a.vx[0, 0] == 5e-2 and st_b.vx[0, 0] == 0.0
+    assert st_a.vel.vx[0, 0] == 5e-2 and st_b.vel.vx[0, 0] == 0.0
 
     lattice.solver_step(st_a, lambda s: VelocityField(big, zero), 0.8, 1)
     lattice.solver_step(st_b, lambda s: VelocityField(zero, zero), 0.8, 1)
@@ -300,7 +300,7 @@ def test_a_new_field_every_step_is_honoured():
     assert still.f_new.tobytes() != st.f_new.tobytes()
 
 
-def test_factor_is_built_once_per_field_object(monkeypatch):
+def test_factor_is_built_at_every_collide_with_a_flow(monkeypatch):
     builds = []
     real = lattice.velocity_factor
 
@@ -312,15 +312,15 @@ def test_factor_is_built_once_per_field_object(monkeypatch):
     first, second = (VelocityField(np.full((8, 8), v), np.zeros((8, 8)))
                      for v in (1e-2, -1e-2))
     st = lattice.init_from_image(CounterRng(25, 0).uniforms(64).reshape(8, 8))
+    assert st.vel is None  # the first step collides with no flow
     for step in range(20):
         lattice.solver_step(st, lambda s: first if s < 10 else second,
                             0.8, step)
-    assert len(builds) == 2
+    assert len(builds) == 19  # steps 1-19, one build each
     st = lattice.init_from_image(np.full((8, 8), 0.5))
-    still = _still_provider((8, 8))
     for step in range(20):
-        lattice.solver_step(st, still, 0.8, step)
-    assert len(builds) == 2  # a still field needs no table
+        lattice.solver_step(st, lambda s: None, 0.8, step)
+    assert len(builds) == 19  # no flow needs no table
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -328,26 +328,47 @@ def test_a_still_flow_does_not_read_the_factor_table(dtype):
     u0 = CounterRng(27, 0).uniforms(2 * 9 * 11).reshape(2, 9, 11)
     st = lattice.init_from_image(u0, dtype=dtype)
     ref = lattice_reference.RefState(u0, dtype=dtype)
-    provider = _still_provider((9, 11))
+    ref_provider = _still_provider((9, 11))
     assert st.factor is None  # a new state holds no table
     for step in range(22):
-        lattice.solver_step(st, provider, 0.8, step)
-        lattice_reference.solver_step(ref, provider, 0.8, step)
-    assert st.factor_of is provider(0) and st.still
-    assert st.factor is None  # classified as still, never allocated
+        lattice.solver_step(st, lambda s: None, 0.8, step)
+        lattice_reference.solver_step(ref, ref_provider, 0.8, step)
+    assert st.vel is None and st.factor is None
     assert st.f_new.tobytes() == ref.f_new.tobytes()
 
     moving = VelocityField(np.full((9, 11), 1e-2), np.zeros((9, 11)))
     lattice.collide(st, moving, 0.8)
-    assert not st.still
     assert st.factor.shape == (9, 9, 11)
     assert np.isfinite(st.f_new).all()
     table = st.factor
-    minus = np.full((9, 11), -0.0)
-    lattice.collide(st, VelocityField(minus, minus), 0.8)
-    assert st.still
+    table[...] = np.nan
+    lattice.collide(st, None, 0.8)
+    assert np.isfinite(st.f_new).all()  # the table was not read
     lattice.collide(st, VelocityField(moving.vy, moving.vx), 0.8)
-    assert not st.still and st.factor is table  # rebuilt in place
+    assert st.factor is table  # rebuilt in place
+    assert np.array_equal(table, lattice.velocity_factor(moving.vy,
+                                                         moving.vx))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_field_refilled_in_place_equals_fresh_fields(dtype):
+    u0 = CounterRng(28, 0).uniforms(3 * 16 * 16).reshape(3, 16, 16)
+    fresh = _turbulent_provider(16)
+    one = VelocityField(np.empty((16, 16)), np.empty((16, 16)))
+
+    def refilled(step):
+        vx, vy = fresh(step)
+        one.vx[...] = vx
+        one.vy[...] = vy
+        return one
+
+    st_fresh = lattice.init_from_image(u0, dtype=dtype)
+    st_one = lattice.init_from_image(u0, dtype=dtype)
+    for step in range(30):
+        lattice.solver_step(st_fresh, fresh, 0.8, step)
+        lattice.solver_step(st_one, refilled, 0.8, step)
+    assert st_one.vel is one
+    assert st_one.f_new.tobytes() == st_fresh.f_new.tobytes()
 
 
 def test_unsupported_dtype_is_a_validation_error():
