@@ -55,6 +55,6 @@ from .schedule import (
     plan_intervals,
     sigma_to_fo,
 )
-from .turbulence import TurbulenceGenerator, TurbulenceSpec, tanh_limiter
+from .turbulence import TurbulenceGenerator, TurbulenceSpec
 
 __version__ = "0.1.0"

@@ -236,6 +236,8 @@ def cmd_reverse(p, args, out):
     Param("fit_lo", int, None), Param("fit_hi", int, None)],
     out=False, switches=("plot",))
 def cmd_spectrum(p, args, out):
+    if args.plot and out is None:
+        raise ValidationError("--plot needs --out")
     path = p["in_path"]
     if path.endswith(".adet"):
         with io.open_tensor(path) as tensor:

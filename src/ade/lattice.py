@@ -44,7 +44,6 @@ W = np.array([4 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9,
 OPPOSITE = np.array([0, 3, 4, 1, 2, 7, 8, 5, 6])
 # directions sharing one weight, contiguous in k: rest, axes, diagonals
 WEIGHT_CLASSES = (slice(0, 1), slice(1, 5), slice(5, 9))
-CS2 = 1.0 / 3.0
 
 # exact values for rational-arithmetic identity checks
 W_EXACT = (Fraction(4, 9),) + (Fraction(1, 9),) * 4 + (Fraction(1, 36),) * 4

@@ -3,13 +3,15 @@
 A command is one table of `Param`s. The table gives its argparse flags, the
 layering of its values (built-in defaults, then key=value config files in
 order, then explicit flags; config values are converted and checked against
-`choices` like flags are) and the manifest that replays a run through a
-config file: `command`, every resolved param that is not None (floats as
-`repr`), then whatever lines the run adds.
+`choices` like flags are, and a float from either must be finite) and the
+manifest that replays a run through a config file: `command`, every
+resolved param that is not None (floats as `repr`), then whatever lines
+the run adds.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from . import io
@@ -66,6 +68,8 @@ def resolve(name: str, params: list[Param], args, configs) -> dict:
         if q.choices and value not in q.choices:
             raise ValidationError(f"{q.name} must be one of "
                                   f"{', '.join(q.choices)}, got {value!r}")
+        if q.type is float and value is not None and not math.isfinite(value):
+            raise ValidationError(f"{q.name} must be finite, got {value!r}")
         p[q.name] = value
     return p
 

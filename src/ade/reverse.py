@@ -5,7 +5,10 @@ ask a predictor for the correction toward snapshot k-1, apply it. With the
 training convention delta = u_{k-1} - u_hat, a perfect predictor telescopes
 the walk back to the clean field regardless of the noise. The noise comes
 from any object with `normal_field(shape)`: a `CounterRng` for a plain
-walk, a slerp of two seeds' draws for an interpolated one.
+walk, a slerp of two seeds' draws for an interpolated one. The walk returns
+only its result; each state, the prior first, goes to an optional sink, so
+a caller keeps the trajectory by keeping what the sink receives, the way
+`ade reverse --record` streams it to disk.
 """
 
 from __future__ import annotations
@@ -93,9 +96,8 @@ def _checked_delta(delta: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def sample(prior: np.ndarray, predictor: Predictor, steps: int,
-           sigma_sample: float, rng: CounterRng, record: bool = False,
-           sink: Callable[[np.ndarray], object] | None = None,
-           ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+           sigma_sample: float, rng: CounterRng,
+           sink: Callable[[np.ndarray], object] | None = None) -> np.ndarray:
     """Run the reverse walk from the prior down to k = 1.
 
     `rng` is any object whose `normal_field(shape)` returns a fresh float64
@@ -104,10 +106,9 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     is then exactly zero), keeping rng positions comparable across sigma
     settings. The walk holds one state at a time and hands each, the
     prior first, to `sink`, so a caller can stream the trajectory to
-    disk; no state is written to after it is handed on. With record=True,
-    they are instead copied into a trajectory [steps + 1, ...] from prior
-    to result, allocated once, and the walk returns (result, trajectory).
-    Arithmetic is float64.
+    disk. No state is written to after it is handed on, so a sink that
+    keeps the states it receives holds the whole trajectory. Arithmetic is
+    float64.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -115,12 +116,6 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
         raise ValidationError(
             f"sigma_sample must be >= 0, got {sigma_sample}")
     u = np.asarray(prior, dtype=np.float64)
-    if record:
-        if sink is not None:
-            raise ValidationError("give record or a sink, not both")
-        trajectory = np.empty((steps + 1,) + u.shape)
-        rows = iter(trajectory)
-        sink = lambda state: np.copyto(next(rows), state)  # noqa: E731
     sink = sink or (lambda state: None)
     sink(u)
     for k in range(steps, 0, -1):
@@ -132,7 +127,7 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
         u_hat += _checked_delta(predictor.predict(u_hat, k), u.shape)
         u = u_hat
         sink(u)
-    return (u, trajectory) if record else u
+    return u
 
 
 def slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:

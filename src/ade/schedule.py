@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, StabilityError, ValidationError
-from .lattice import tau_from_alpha
+from .errors import ScheduleError, ValidationError
+from .lattice import alpha_from_tau, tau_from_alpha
 
 
 def exp_schedule(fo_min: float, fo_max: float, steps: int) -> np.ndarray:
@@ -91,8 +91,7 @@ def plan_intervals(fo_levels: np.ndarray, length: float,
     """
     if length <= 0.0:
         raise ValidationError(f"length must be positive, got {length}")
-    if not tau_max > 0.5:
-        raise StabilityError(f"tau_max must exceed 1/2, got {tau_max}")
+    alpha_max = alpha_from_tau(tau_max)
     if peclet < 0.0:
         raise ValidationError(f"Pe must be >= 0, got {peclet}")
     if cap <= 0.0:
@@ -102,7 +101,6 @@ def plan_intervals(fo_levels: np.ndarray, length: float,
         raise ValidationError("need a 1D array of at least two Fo levels")
     if not np.all(np.isfinite(fo)) or fo[0] < 0.0:
         raise ValidationError("Fo levels must be finite and non-negative")
-    alpha_max = (tau_max - 0.5) / 3.0
     out = []
     for lo, hi in zip(fo[:-1], fo[1:]):
         d_fo = hi - lo
@@ -117,8 +115,8 @@ def plan_intervals(fo_levels: np.ndarray, length: float,
         if peclet > 0.0:
             n = max(n, math.ceil(peclet * d_fo * length / cap))
         alpha = float(budget / n)
-        rms = peclet * alpha / length
-        out.append(Interval(n, tau_from_alpha(alpha), alpha, rms))
+        out.append(Interval(n, tau_from_alpha(alpha), alpha,
+                            peclet_velocity(peclet, alpha, length)))
     return tuple(out)
 
 
@@ -134,7 +132,6 @@ class DiffusionSchedule:
     levels: tuple[float, ...]
     length: float
     peclet: float
-    tau_max: float
     cap: float
     intervals: tuple[Interval, ...]
 
@@ -148,7 +145,7 @@ class DiffusionSchedule:
         intervals = plan_intervals(augmented, length, tau_max=tau_max,
                                    peclet=peclet, cap=cap)
         return cls(tuple(float(v) for v in levels), float(length),
-                   float(peclet), float(tau_max), float(cap), intervals)
+                   float(peclet), float(cap), intervals)
 
     @classmethod
     def build(cls, fo_min: float, fo_max: float, steps: int, length: float,
@@ -181,6 +178,4 @@ class DiffusionSchedule:
         rms = [np.full(iv.n_steps, iv.target_rms) for iv in self.intervals]
         counts = [iv.n_steps for iv in self.intervals]
         boundaries = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-        if self.lattice_steps == 0:
-            return (np.empty(0), np.empty(0), boundaries)
         return (np.concatenate(taus), np.concatenate(rms), boundaries)

@@ -4,8 +4,9 @@ A random Fourier mode table is built once per seed: each mode in the band
 [kappa_min, kappa_max] gets amplitude ||kappa||^slope and an independent
 uniform phase per component. Time evolution rotates each phase at rate
 dt_turb * ||kappa||, so consecutive steps give smoothly drifting fields.
-Fields are rescaled to a target RMS (population std) and passed through a
-smooth tanh magnitude limiter.
+Fields are rescaled to a target RMS (population std), then each node's
+speed is capped smoothly at cap * tanh(sharpness * speed / cap), keeping
+its direction.
 
 The phase tables are drawn for the whole N x N grid, so the random stream
 is the same whatever the band, but only the modes with nonzero amplitude
@@ -66,28 +67,20 @@ class TurbulenceSpec:
                 f"dt_turb must be >= 0, got {self.dt_turb}")
 
 
-def tanh_limiter(x: np.ndarray, min_val: float, max_val: float,
-                 sharpness: float = 1.0) -> np.ndarray:
-    """Smooth clamp of x into (min_val, max_val), identity-like near mid."""
-    if not min_val < max_val:
-        raise ValidationError(
-            f"need min_val < max_val, got [{min_val}, {max_val}]")
-    mid = (max_val + min_val) / 2.0
-    half = (max_val - min_val) / 2.0
-    return mid + half * np.tanh(sharpness * (np.asarray(x) - mid) / half)
-
-
-def limit_velocity(vx: np.ndarray, vy: np.ndarray, min_val: float,
-                   max_val: float, sharpness: float = 1.0) -> VelocityField:
-    """Rescale (vx, vy) so the speed passes through tanh_limiter.
+def limit_velocity(vx: np.ndarray, vy: np.ndarray, cap: float,
+                   sharpness: float = 1.0) -> VelocityField:
+    """Rescale (vx, vy) so the speed becomes cap * tanh(sharpness * speed /
+    cap), which stays below cap and is identity-like at low speed.
 
     Direction is preserved; nodes slower than 1e-9 are scaled by 1e-9
     instead, which keeps them effectively at rest.
     """
-    mag = np.sqrt(vx * vx + vy * vy)
-    limited = tanh_limiter(mag, min_val, max_val, sharpness)
-    factor = np.full_like(mag, SMALL_MAGNITUDE)
-    np.divide(limited, mag, out=factor, where=mag >= SMALL_MAGNITUDE)
+    if not cap > 0.0:
+        raise ValidationError(f"cap must be positive, got {cap}")
+    speed = np.sqrt(vx * vx + vy * vy)
+    limited = cap * np.tanh(sharpness * speed / cap)
+    factor = np.full_like(speed, SMALL_MAGNITUDE)
+    np.divide(limited, speed, out=factor, where=speed >= SMALL_MAGNITUDE)
     return VelocityField(vx * factor, vy * factor)
 
 
@@ -168,5 +161,4 @@ class TurbulenceGenerator:
             raise ValidationError("spectral band produced a constant field")
         u *= target_rms / su
         v *= target_rms / sv
-        return limit_velocity(u, v, -self.spec.cap, self.spec.cap,
-                              self.spec.sharpness)
+        return limit_velocity(u, v, self.spec.cap, self.spec.sharpness)

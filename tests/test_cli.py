@@ -8,7 +8,7 @@ import pytest
 from ade import cli, io, reverse
 from ade.corruption import CorruptionChain
 from ade.errors import PredictorTimeoutError
-from ade.params import resolve
+from ade.params import REQUIRED, resolve
 from ade.rng import CounterRng
 from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
 
@@ -437,10 +437,11 @@ def test_streamed_reverse_writes_the_bytes_of_the_recorded_walk(
     snaps = _reverse_chain(workdir / "chain.adet", dtype)
     predictor = (reverse.OraclePredictor(CorruptionChain(snaps))
                  if name == "oracle" else reverse.ZeroPredictor())
-    recon, trajectory = reverse.sample(snaps[-1], predictor, 4, 0.02,
-                                       CounterRng(6, 0), record=True)
+    states = []
+    recon = reverse.sample(snaps[-1], predictor, 4, 0.02, CounterRng(6, 0),
+                           sink=states.append)
     io.write_tensor(workdir / "recon.adet", recon)
-    io.write_tensor(workdir / "trajectory.adet", trajectory)
+    io.write_tensor(workdir / "trajectory.adet", np.stack(states))
     flags = ["--chain", "chain.adet", "--predictor", name, "--sigma-s",
              "0.02", "--seed", "6"]
     assert cli.main(["reverse", *flags, "--out", "rec", "--record"]) == 0
@@ -624,3 +625,34 @@ def test_a_walk_that_fails_midway_leaves_no_trajectory(workdir, capsys,
                      "--record"]) == 1
     assert "partner went away" in _one_error_line(capsys)
     assert list((workdir / "o").iterdir()) == []
+
+
+_FLOAT_PARAMS = [(name, q) for name, cmd in sorted(cli.COMMANDS.items())
+                 for q in cmd.params if q.type is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name, q", _FLOAT_PARAMS,
+                         ids=[f"{n}-{q.name}" for n, q in _FLOAT_PARAMS])
+def test_a_non_finite_float_param_is_one_error_line(workdir, capsys, name,
+                                                    q, value):
+    cmd = cli.COMMANDS[name]
+    argv = [name]
+    for r in cmd.params:  # required params need only get through parsing
+        if r.default is REQUIRED:
+            argv += [r.option, "8" if r.type is int else "missing"]
+    if cmd.out is not None:
+        argv += ["--out", "o/deep"]
+    (workdir / "bad.cfg").write_text(f"{q.name}={value}\n")
+    for source in ([q.option, value], ["--config", "bad.cfg"]):
+        assert cli.main(argv + source) == 1
+        assert _one_error_line(capsys).startswith(
+            f"ade: error: ValidationError: {q.name} must be finite")
+        assert not (workdir / "o").exists()
+
+
+def test_spectrum_plot_needs_out(workdir, capsys):
+    # the input does not exist: the check comes before it is read
+    assert cli.main(["spectrum", "--in", "missing.pgm", "--plot"]) == 1
+    assert _one_error_line(capsys) == (
+        "ade: error: ValidationError: --plot needs --out\n")

@@ -154,8 +154,9 @@ def test_a_still_chain_builds_no_velocity_factor(monkeypatch):
 
 
 def test_a_moving_chain_builds_one_factor_per_fetched_field(monkeypatch):
-    # step 0 collides with the state's zero field; each of the other steps
-    # with the field fetched the step before, a new object every time
+    # step 0 collides with no flow and builds no factor; each of the other
+    # steps collides with the field fetched the step before, a new object
+    # every time
     builds = _count_factor_builds(monkeypatch)
     sch = _schedule(sigmas=(0.5, 1.0, 1.0, 1.0, 2.0), peclet=0.1)
     assert sch.lattice_steps == 14

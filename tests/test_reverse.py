@@ -1,12 +1,11 @@
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from ade import io, reverse
-from ade.corruption import CorruptionChain, NoiseParams, forward_chain
+from ade.corruption import NoiseParams, forward_chain
 from ade.errors import (PredictorTimeoutError, ShapeMismatchError,
                         ValidationError)
 from ade.reverse import (ExternPredictor, OraclePredictor, ZeroPredictor,
@@ -33,9 +32,10 @@ def test_oracle_walk_recovers_the_clean_field_exactly():
 
 def test_recorded_trajectory_brackets_the_walk():
     chain = _chain(2)
-    out, traj = sample(chain.prior, OraclePredictor(chain),
-                       chain.chain_length, 0.008, CounterRng(4, 0),
-                       record=True)
+    states = []
+    out = sample(chain.prior, OraclePredictor(chain), chain.chain_length,
+                 0.008, CounterRng(4, 0), sink=states.append)
+    traj = np.stack(states)
     assert traj.shape == (4,) + chain.prior.shape
     assert np.array_equal(traj[0], chain.prior)
     assert np.array_equal(traj[-1], out)
@@ -63,36 +63,16 @@ class _HalfOracle(OraclePredictor):
 def test_recorded_walk_matches_the_reference_bitwise(sigma):
     chain = _chain(6, peclet=0.2)
     for pred in (OraclePredictor(chain), _HalfOracle(chain)):
-        out, traj = sample(chain.prior, pred, chain.chain_length, sigma,
-                           CounterRng(9, 0), record=True)
+        states = []
+        out = sample(chain.prior, pred, chain.chain_length, sigma,
+                     CounterRng(9, 0), sink=states.append)
         ref_out, ref_traj = _recorded_walk_reference(
             chain.prior, pred, chain.chain_length, sigma, CounterRng(9, 0))
         assert out.tobytes() == ref_out.tobytes()
-        assert traj.tobytes() == ref_traj.tobytes()
+        assert np.stack(states).tobytes() == ref_traj.tobytes()
         plain = sample(chain.prior, pred, chain.chain_length, sigma,
                        CounterRng(9, 0))
         assert plain.tobytes() == ref_out.tobytes()
-        out[...] = -1.0  # the result does not alias the trajectory
-        assert traj.tobytes() == ref_traj.tobytes()
-
-
-def test_recorded_walk_allocates_the_trajectory_once():
-    steps, shape = 32, (3, 32, 32)
-    snaps = CounterRng(4, 0).uniforms((steps + 1) * 3 * 32 * 32).reshape(
-        (steps + 1,) + shape)
-    chain = CorruptionChain(snaps)
-    field = snaps[0].nbytes
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _, traj = sample(chain.prior, OraclePredictor(chain), steps, 0.01,
-                         CounterRng(1, 0), record=True)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert traj.nbytes == (steps + 1) * field
-    # noise, u_hat, the predictor's answer and Box-Muller temporaries
-    assert peak <= traj.nbytes + 8 * field
 
 
 def test_zero_predictor_without_noise_returns_the_prior():
@@ -128,18 +108,18 @@ def test_sample_validation():
 
 def test_the_sink_sees_every_state_the_recorded_walk_keeps():
     chain = _chain(7)
-    states = []
+    states, copies = [], []
+
+    def keep(state):
+        states.append(state)
+        copies.append(state.copy())
+
     out = sample(chain.prior, _HalfOracle(chain), chain.chain_length, 0.01,
-                 CounterRng(2, 0), sink=states.append)
-    ref_out, traj = sample(chain.prior, _HalfOracle(chain),
-                           chain.chain_length, 0.01, CounterRng(2, 0),
-                           record=True)
+                 CounterRng(2, 0), sink=keep)
     # states are never written after they are handed on, so kept ones hold
-    assert np.stack(states).tobytes() == traj.tobytes()
-    assert out.tobytes() == ref_out.tobytes()
-    with pytest.raises(ValidationError, match="not both"):
-        sample(chain.prior, ZeroPredictor(), 2, 0.0, CounterRng(0, 0),
-               record=True, sink=states.append)
+    assert np.stack(states).tobytes() == np.stack(copies).tobytes()
+    assert len(states) == chain.chain_length + 1
+    assert states[-1] is out
 
 
 def test_slerp_endpoints_are_exact():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ade import schedule
-from ade.errors import ScheduleError, ValidationError
+from ade.errors import ScheduleError, StabilityError, ValidationError
 from ade.schedule import DiffusionSchedule, Interval
 
 
@@ -122,9 +122,16 @@ def test_single_zero_level_schedule_is_identity():
     assert sch.chain_length == 1
     assert sch.lattice_steps == 0
     assert sch.sigma_levels == (0.0,)
+    taus, rms, boundaries = sch.per_step()
+    assert taus.dtype == rms.dtype == np.float64
+    assert taus.shape == rms.shape == (0,)
+    assert boundaries.tolist() == [0, 0]
 
 
 def test_tau_cap_is_respected():
     sch = DiffusionSchedule.from_levels([0.02], 64.0, tau_max=0.7)
     for iv in sch.intervals:
         assert iv.tau <= 0.7 + 1e-15
+    for tau_max in (0.5, 0.4, np.nan):
+        with pytest.raises(StabilityError, match="tau must exceed 1/2"):
+            DiffusionSchedule.from_levels([0.02], 64.0, tau_max=tau_max)

@@ -3,8 +3,7 @@ import pytest
 
 from ade.errors import ValidationError
 from ade.lattice import velocity_factor
-from ade.turbulence import (TurbulenceGenerator, TurbulenceSpec, limit_velocity,
-                            tanh_limiter)
+from ade.turbulence import TurbulenceGenerator, TurbulenceSpec, limit_velocity
 
 import turbulence_reference
 
@@ -31,21 +30,31 @@ def test_spec_validation():
         TurbulenceSpec(32, dt_turb=-1e-6)
 
 
-def test_tanh_limiter_shape():
-    assert tanh_limiter(np.float64(0.5), -1.0, 1.0) == 0.46211715726000974
-    assert tanh_limiter(np.float64(0.0), -1.0, 1.0) == 0.0
-    x = np.linspace(-5e-3, 5e-3, 101)
-    y = tanh_limiter(x, -1e-3, 1e-3)
-    assert np.all(y > -1e-3) and np.all(y < 1e-3)
+def _speed(vx, vy, cap, sharpness=1.0):
+    v = limit_velocity(vx, vy, cap, sharpness)
+    return np.hypot(v.vx, v.vy)
+
+
+def test_limit_velocity_shape():
+    # along an axis the limited speed is cap * tanh(sharpness * speed / cap)
+    v = limit_velocity(np.float64(0.5), np.float64(0.0), 1.0)
+    assert v.vx == 0.46211715726000974 and v.vy == 0.0
+    assert limit_velocity(np.float64(0.0), np.float64(0.0), 1.0).vx == 0.0
+    x = np.linspace(1e-5, 5e-3, 101)
+    y = _speed(0.6 * x, 0.8 * x, 1e-3)
+    assert np.all(y < 1e-3)
     assert np.all(np.diff(y) > 0.0)
     # higher sharpness saturates faster
-    soft = tanh_limiter(np.float64(2e-3), -1e-3, 1e-3, sharpness=1.0)
-    hard = tanh_limiter(np.float64(2e-3), -1e-3, 1e-3, sharpness=4.0)
+    soft = _speed(np.float64(2e-3), np.float64(0.0), 1e-3, sharpness=1.0)
+    hard = _speed(np.float64(2e-3), np.float64(0.0), 1e-3, sharpness=4.0)
     assert hard > soft
+    for cap in (0.0, -1e-3, np.nan):
+        with pytest.raises(ValidationError, match="cap must be positive"):
+            limit_velocity(x, x, cap)
 
 
 def test_limit_velocity_caps_speed_and_keeps_direction():
-    v = limit_velocity(np.array([[3e-3]]), np.array([[4e-3]]), -1e-3, 1e-3)
+    v = limit_velocity(np.array([[3e-3]]), np.array([[4e-3]]), 1e-3)
     mag = float(np.hypot(v.vx, v.vy)[0, 0])
     assert mag == 0.0009999092042625951  # 1e-3 * tanh(5)
     assert float(v.vy[0, 0] / v.vx[0, 0]) == 1.3333333333333333
@@ -54,7 +63,7 @@ def test_limit_velocity_caps_speed_and_keeps_direction():
 def test_limit_velocity_handles_rest_nodes():
     vx = np.array([[0.0, 1e-12], [2e-3, 0.0]])
     vy = np.array([[0.0, 0.0], [0.0, -3e-3]])
-    out = limit_velocity(vx, vy, -1e-3, 1e-3)
+    out = limit_velocity(vx, vy, 1e-3)
     assert np.all(np.isfinite(out.vx)) and np.all(np.isfinite(out.vy))
     assert out.vx[0, 0] == 0.0 and out.vy[0, 0] == 0.0
     # sub-threshold speeds stay essentially at rest
@@ -164,6 +173,42 @@ def test_velocity_factor_matches_the_reference_bitwise(size):
         out = np.full(want.shape, np.nan)  # every slot must be written
         assert velocity_factor(vx, vy, out=out) is out
         assert out.tobytes() == want.tobytes()
+
+
+def _speed_grid():
+    """Component pairs at speeds 1e-12..1e-2, at all four signs, plus
+    ±0 and sub-1e-9 nodes."""
+    speeds = np.concatenate([np.geomspace(1e-12, 1e-2, 61),
+                             [0.0, 1e-10, 9.99e-10, 1e-9]])
+    angles = np.linspace(0.0, 2.0 * np.pi, 13)
+    s, a = np.meshgrid(speeds, angles)
+    yield s * np.cos(a), s * np.sin(a)
+    yield from _hand_made_fields()
+    yield np.array([[-0.0, 0.0], [5e-10, -0.0]]), np.array([[0.0, -0.0],
+                                                          [-0.0, -3e-10]])
+
+
+def test_limit_velocity_matches_the_frozen_tanh_clamp_bitwise():
+    for cap in (1e-3, 1e-2):
+        for sharpness in (1.0, 4.0, 0.7):
+            for vx, vy in _speed_grid():
+                got = limit_velocity(vx, vy, cap, sharpness)
+                want = turbulence_reference.limit_velocity(
+                    vx, vy, -cap, cap, sharpness)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+    for size in (64, 256):
+        spec = TurbulenceSpec(size, sharpness=3.0)
+        gen = TurbulenceGenerator(spec, seed=7)
+        ref = turbulence_reference.RefGenerator(spec, seed=7)
+        for step in (0, 1, 2, 17, 400):
+            u, v = ref.synthesize(step)
+            u *= 6e-4 / u.std()
+            v *= 6e-4 / v.std()
+            want = turbulence_reference.limit_velocity(
+                u, v, -spec.cap, spec.cap, spec.sharpness)
+            for g, w in zip(gen.generate(step, 6e-4), want):
+                assert g.tobytes() == w.tobytes()
 
 
 def test_an_empty_band_is_a_constant_field_error():

@@ -1,16 +1,19 @@
-"""Reference spectral synthesis and velocity factor for bitwise checks.
+"""Reference spectral synthesis, velocity factor and limiter for bitwise
+checks.
 
 A frozen copy of the straightforward versions: the full N x N mode table
 with zero amplitude outside the band, a complex `exp` of every mode, one
-`np.fft.ifft2` per component, and the velocity factor evaluated direction
-by direction from c.v. It shares only the stencil constants and
-`CounterRng` with `ade`, so a rewrite that matches it byte for byte keeps
-every product, sum and transform in the same order.
+`np.fft.ifft2` per component, the velocity factor evaluated direction by
+direction from c.v, and the speed limiter as a general [min, max] tanh
+clamp. It shares only the stencil constants, `VelocityField`, the error
+type and `CounterRng` with `ade`, so a rewrite that matches it byte for
+byte keeps every product, sum and transform in the same order.
 """
 
 import numpy as np
 
-from ade.lattice import CX, CY
+from ade.errors import ValidationError
+from ade.lattice import CX, CY, VelocityField
 from ade.rng import CounterRng
 
 
@@ -49,3 +52,23 @@ def velocity_factor(vx, vy):
         cv = CX[k] * vx + CY[k] * vy
         out[k] = 1.0 + 3.0 * cv + 4.5 * cv * cv - 1.5 * vv
     return out
+
+
+def tanh_limiter(x, min_val, max_val, sharpness=1.0):
+    """Smooth clamp of x into (min_val, max_val), identity-like near mid."""
+    if not min_val < max_val:
+        raise ValidationError(
+            f"need min_val < max_val, got [{min_val}, {max_val}]")
+    mid = (max_val + min_val) / 2.0
+    half = (max_val - min_val) / 2.0
+    return mid + half * np.tanh(sharpness * (np.asarray(x) - mid) / half)
+
+
+def limit_velocity(vx, vy, min_val, max_val, sharpness=1.0):
+    """Rescale (vx, vy) so the speed passes through tanh_limiter; nodes
+    slower than 1e-9 are scaled by 1e-9."""
+    mag = np.sqrt(vx * vx + vy * vy)
+    limited = tanh_limiter(mag, min_val, max_val, sharpness)
+    factor = np.full_like(mag, 1e-9)
+    np.divide(limited, mag, out=factor, where=mag >= 1e-9)
+    return VelocityField(vx * factor, vy * factor)
