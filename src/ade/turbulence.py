@@ -65,6 +65,9 @@ class TurbulenceSpec:
         if self.dt_turb < 0.0:
             raise ValidationError(
                 f"dt_turb must be >= 0, got {self.dt_turb}")
+        if not self.sharpness > 0.0:
+            raise ValidationError(
+                f"sharpness must be positive, got {self.sharpness}")
 
 
 def limit_velocity(vx: np.ndarray, vy: np.ndarray, cap: float,

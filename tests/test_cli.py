@@ -1,11 +1,12 @@
 import gc
+import multiprocessing
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ade import cli, io, reverse
+from ade import cli, corruption, io, reverse
 from ade.corruption import CorruptionChain
 from ade.errors import PredictorTimeoutError
 from ade.params import REQUIRED, resolve
@@ -574,6 +575,87 @@ def test_a_chain_that_fails_midway_leaves_no_file(workdir, capsys,
     assert cli.main(argv + ["--out", "o", "--steps", "3"]) == 1
     assert "disk full" in _one_error_line(capsys)
     assert list((workdir / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_dataset_that_fails_at_image_2_publishes_image_1_alone(
+        workdir, capsys, monkeypatch, workers):
+    (workdir / "in").mkdir()
+    for i, name in enumerate("abcd"):
+        _field_image(workdir / "in" / f"{name}.pgm", 70 + i, n=12)
+    (workdir / "o").mkdir()
+    (workdir / "o" / "c_chain.adet").write_bytes(b"an earlier run")
+    failing = io.read_image(workdir / "in" / "b.pgm")[0]
+    real = io.TensorWriter.append
+
+    def fail_at_image_2(self, row):
+        if self.count == 0 and np.array_equal(row, failing):
+            raise OSError("disk full")
+        real(self, row)
+    monkeypatch.setattr(io.TensorWriter, "append", fail_at_image_2)
+    monkeypatch.setattr(corruption, "_cpus", lambda: workers)
+    assert cli.main(["chain", "--in-dir", "in", "--out", "o", "--steps", "2",
+                     "--pe", "0.1"]) == 1
+    assert "OSError: disk full" in _one_error_line(capsys)
+    assert sorted(p.name for p in (workdir / "o").iterdir()) == [
+        "a_chain.adet", "c_chain.adet"]
+    assert (workdir / "o" / "c_chain.adet").read_bytes() == b"an earlier run"
+    assert io.read_tensor(workdir / "o" / "a_chain.adet").shape[1:] == (
+        1, 12, 12)
+    assert list(workdir.rglob(".stage-*")) == []
+    assert list(workdir.rglob("*.tmp")) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_chain_name_taken_twice_is_an_error_line(workdir, capsys):
+    (workdir / "in").mkdir()
+    _field_image(workdir / "in" / "a.PGM", 81, n=12)
+    _field_image(workdir / "in" / "a.pgm", 82, n=12)
+    _field_image(workdir / "in" / "b.pgm", 83, n=12)
+    assert cli.main(["chain", "--in-dir", "in", "--out", "o",
+                     "--steps", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("written=2 errors=1 ")
+    assert captured.err == ("error a.pgm: chain name a_chain.adet already "
+                            "taken by a.PGM\n")
+    manifest = io.read_config(workdir / "o" / "manifest.txt")
+    assert list(manifest)[-3:] == ["output.a_chain.adet",
+                                   "output.b_chain.adet", "error.a.pgm"]
+    assert manifest["error.a.pgm"] == (
+        "chain name a_chain.adet already taken by a.PGM")
+    chain = io.read_tensor(workdir / "o" / "a_chain.adet")
+    assert np.array_equal(chain[0], io.read_image(workdir / "in" / "a.PGM")[0])
+
+
+def test_chain_with_piped_stdout_prints_one_summary_line(tmp_path, run_ade):
+    (tmp_path / "in").mkdir()
+    for i, name in enumerate("abc"):
+        _field_image(tmp_path / "in" / f"{name}.pgm", 90 + i, n=12)
+    proc = run_ade(["chain", "--in-dir", "in", "--out", "o", "--steps", "2",
+                    "--pe", "0.1"], cwd=tmp_path,
+                   env_extra={"PYTHONUNBUFFERED": ""})  # block-buffered
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("written=")] == [proc.stdout.strip()]
+    assert proc.stdout.startswith("written=3 errors=0 ")
+
+
+@pytest.mark.parametrize("sharpness", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["gen-velocity", "--size", "16"],
+    ["corrupt", "--in", "a.pgm", "--pe", "0.1", "--steps", "2"],
+    ["chain", "--in-dir", "in", "--pe", "0.1", "--steps", "2"]],
+    ids=["gen-velocity", "corrupt", "chain"])
+def test_a_sharpness_that_is_not_positive_is_one_error_line(
+        workdir, capsys, argv, sharpness):
+    _field_image(workdir / "a.pgm", 1, n=12)
+    (workdir / "in").mkdir()
+    _field_image(workdir / "in" / "a.pgm", 2, n=12)
+    assert cli.main(argv + ["--sharpness", sharpness, "--out", "o"]) == 1
+    err = _one_error_line(capsys)
+    assert err.startswith("ade: error: ValidationError: sharpness must be "
+                          "positive")
+    assert not (workdir / "o").exists()
 
 
 def test_a_chain_truncated_after_its_header_is_one_error_line(tmp_path,

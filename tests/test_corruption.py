@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from ade import io, lattice
+from ade import corruption, io, lattice
 from ade.corruption import (NoiseParams, add_training_noise, forward_chain,
                             make_training_pair, precompute_dataset,
                             regression_loss)
@@ -12,6 +17,7 @@ from ade.rng import CounterRng
 from ade.schedule import DiffusionSchedule, sigma_to_fo
 
 import chain_reference
+from conftest import SRC
 
 
 def _field(seed, n=16, lo=0.25, span=0.5):
@@ -306,3 +312,134 @@ def test_precompute_lets_a_programming_error_escape(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "read_image", broken)
     with pytest.raises(TypeError, match="not an image error"):
         precompute_dataset(src, tmp_path / "out", _schedule(n=12), seed=0)
+
+
+def test_a_chain_name_taken_by_an_earlier_image_is_an_error(tmp_path):
+    src = tmp_path / "in"
+    out = tmp_path / "out"
+    src.mkdir()
+    _write_pgm(src / "a.PGM", 41)
+    _write_pgm(src / "a.pgm", 42)
+    _write_pgm(src / "b.pgm", 43)
+    result = precompute_dataset(src, out, _schedule(n=12), seed=0)
+    assert list(result["written"]) == ["a_chain.adet", "b_chain.adet"]
+    assert result["errors"] == {
+        "a.pgm": "chain name a_chain.adet already taken by a.PGM"}
+    chain = io.read_tensor(out / "a_chain.adet")
+    assert np.array_equal(chain[0], io.read_image(src / "a.PGM")[0])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a_chain.adet", "b_chain.adet"]
+
+
+def test_a_chain_name_freed_by_an_unreadable_image_is_written(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "a.PGM").write_bytes(b"not an image")
+    _write_pgm(src / "a.pgm", 44)
+    result = precompute_dataset(src, tmp_path / "out", _schedule(n=12),
+                                seed=0)
+    assert list(result["written"]) == ["a_chain.adet"]
+    assert list(result["errors"]) == ["a.PGM"]
+
+
+def _workers(monkeypatch, count):
+    """Force `count` workers; return the list of the pool maps run."""
+    monkeypatch.setattr(corruption, "_cpus", lambda: count)
+    maps = []
+    real = ProcessPoolExecutor.map
+
+    def spy(pool, *args, **kwargs):
+        maps.append(pool)
+        return real(pool, *args, **kwargs)
+    monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+    return maps
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("peclet", [0.0, 0.1])
+def test_the_worker_count_changes_no_byte_and_no_report(tmp_path,
+                                                        monkeypatch, peclet,
+                                                        dtype):
+    src = tmp_path / "in"
+    src.mkdir()
+    for i, name in enumerate(("a.pgm", "c.pgm", "e.pgm")):
+        _write_pgm(src / name, 50 + i)
+    (src / "b.pgm").write_bytes(b"P5\n4 4\n255\nxx")
+    _write_pgm(src / "d.pgm", 55, n=10)
+    sch = _schedule(n=12, peclet=peclet)
+    runs = {}
+    for count in (1, 2, 3):
+        maps = _workers(monkeypatch, count)
+        out = tmp_path / f"out{count}"
+        report = precompute_dataset(src, out, sch, seed=9, dtype=dtype)
+        assert len(maps) == (count > 1)  # the pool ran, or no pool was made
+        assert multiprocessing.active_children() == []
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs[count] = (report, list(report["written"]),
+                       list(report["errors"]), files)
+    assert runs[1][1] == ["a_chain.adet", "c_chain.adet", "e_chain.adet"]
+    assert runs[1][2] == ["b.pgm", "d.pgm"]
+    assert sorted(runs[1][3]) == runs[1][1]
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_buffered_output_is_printed_once_across_the_fork(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    for i, name in enumerate(("a.pgm", "b.pgm", "c.pgm")):
+        _write_pgm(src / name, 60 + i)
+    script = (
+        "import sys\n"
+        "from ade import corruption\n"
+        "from ade.schedule import DiffusionSchedule, sigma_to_fo\n"
+        "corruption._cpus = lambda: 3\n"
+        "print('before the pool')\n"
+        "sch = DiffusionSchedule.from_levels([sigma_to_fo(0.5, 12)], 12.0)\n"
+        "report = corruption.precompute_dataset(sys.argv[1], sys.argv[2],\n"
+        "                                       sch, seed=0)\n"
+        "print(len(report['written']))\n")
+    # a piped stdout is block-buffered unless PYTHONUNBUFFERED is set
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="")
+    proc = subprocess.run([sys.executable, "-c", script, str(src),
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before the pool\n3\n"
+
+
+def test_a_worker_that_dies_fails_the_run_and_hangs_nothing(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    for i, name in enumerate(("a.pgm", "b.pgm", "c.pgm")):
+        _write_pgm(src / name, 70 + i)
+    # image b's worker is killed at its first snapshot
+    script = (
+        "import os, signal, sys\n"
+        "import numpy as np\n"
+        "from ade import corruption, io\n"
+        "from ade.schedule import DiffusionSchedule, sigma_to_fo\n"
+        "src, out = sys.argv[1:]\n"
+        "doomed = io.read_image(src + '/b.pgm')[0]\n"
+        "real = io.TensorWriter.append\n"
+        "def append(self, row):\n"
+        "    if np.array_equal(row, doomed):\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    real(self, row)\n"
+        "io.TensorWriter.append = append\n"
+        "corruption._cpus = lambda: 2\n"
+        "sch = DiffusionSchedule.from_levels([sigma_to_fo(0.5, 12)], 12.0)\n"
+        "try:\n"
+        "    corruption.precompute_dataset(src, out, sch, seed=0)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "import multiprocessing\n"
+        "print(multiprocessing.active_children())\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, str(src),
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "BrokenProcessPool\n[]\n"
+    assert list((tmp_path / "out").glob(".stage-*")) == []
+    assert "c_chain.adet" not in {p.name for p in (tmp_path / "out").iterdir()}

@@ -28,6 +28,9 @@ def test_spec_validation():
         TurbulenceSpec(32, cap=0.0)
     with pytest.raises(ValidationError):
         TurbulenceSpec(32, dt_turb=-1e-6)
+    for sharpness in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="sharpness"):
+            TurbulenceSpec(32, sharpness=sharpness)
 
 
 def _speed(vx, vy, cap, sharpness=1.0):
