@@ -21,6 +21,8 @@ import contextlib
 import functools
 import os
 import shutil
+import signal
+import sys
 import tempfile
 import threading
 from collections.abc import Callable
@@ -195,24 +197,50 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_width(parts: int) -> int:
+    """How many processes a job of `parts` independent parts may fork
+    into: one per CPU of the affinity mask at most, and 1 where forking is
+    unsafe: not available, or another thread is running, whose locks a
+    child could inherit held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_cpus(), parts))
+
+
+def _die_with(parent: int) -> None:
+    # pool initializer: a worker must not outlive a killed parent, which
+    # can no longer join it
+    if sys.platform.startswith("linux"):
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        PR_SET_PDEATHSIG = 1
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before the prctl
+        os._exit(1)
+
+
 @contextlib.contextmanager
 def _mapper(workers: int):
     """An ordered, lazy map over `workers` forked processes, or the builtin
-    map where one worker is enough or forking is unsafe: not available, or
-    another thread is running, whose locks a child could inherit held.
+    map for one worker.
 
     The workers are forked before the pool starts its own threads, and
     multiprocessing flushes stdout and stderr before each fork, so no child
     prints a copy of buffered output. Leaving the block cancels the jobs
     not started, waits for those running and joins every worker; a worker
-    that dies raises BrokenProcessPool rather than hanging the map.
+    that dies raises BrokenProcessPool rather than hanging the map. On
+    Linux a worker is killed with its parent, and elsewhere a worker
+    forked after the parent died exits at once.
     """
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    if workers > 1:
         # imported here, not by every command: about 2 MB and 15 ms
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
-                workers, multiprocessing.get_context("fork")) as pool:
+                workers, multiprocessing.get_context("fork"),
+                initializer=_die_with, initargs=(os.getpid(),)) as pool:
             try:
                 yield pool.map
             finally:
@@ -302,7 +330,7 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
             _chain_image, input_dir=input_dir, stage=stage,
             ref_shape=ref_shape, schedule=schedule, seed=seed,
             turbulence=turbulence, dtype=dtype)
-        with _mapper(min(_cpus(), len(jobs))) as mapper:
+        with _mapper(_fork_width(len(jobs))) as mapper:
             for name, out_name, outcome in mapper(run, jobs):
                 if out_name is None:
                     errors[name] = outcome

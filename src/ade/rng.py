@@ -4,6 +4,12 @@ Output i of a stream is a pure function of (seed, stream, i): the generator
 mixes the counter through splitmix64, so any block of draws can be reproduced
 from its position alone, independent of batch sizes used to consume earlier
 draws. All integer arithmetic is uint64 with wraparound.
+
+The same holds inside one normal draw: each Box-Muller pair is an
+elementwise function of its two words, so any range of a draw's pairs can
+be computed apart, in another process too, and its bits do not depend on
+where the range is cut. `reverse.sample` uses that to compute half of each
+draw of a large walk in a helper process.
 """
 
 from __future__ import annotations
@@ -17,20 +23,26 @@ _U64 = np.uint64
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; wraparound is intended
+    # splitmix64 finalizer, in place; wraparound is intended
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, _U64(shift), out=t)
+            z ^= t
+            z *= mult
+        np.right_shift(z, _U64(31), out=t)
+        z ^= t
+    return z
 
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Fold indices into a seed, splitmix-style. Stable across runs."""
-    s = _U64(seed & 0xFFFFFFFFFFFFFFFF)
+    s = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     with np.errstate(over="ignore"):
         for ix in indices:
-            s = _mix(s + _U64((ix + 1) & 0xFFFFFFFFFFFFFFFF) * _GOLDEN)
-    return int(s)
+            s += _U64((ix + 1) & 0xFFFFFFFFFFFFFFFF) * _GOLDEN
+            _mix(s)
+    return int(s[0])
 
 
 class CounterRng:
@@ -47,32 +59,66 @@ class CounterRng:
         self.stream = stream
         self.position = position
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.position, self.position + n, dtype=np.uint64)
-        self.position += n
+    # while set, fills each normal draw in place of `_pairs`, computing
+    # part of it elsewhere (`reverse.sample` sets it for a large walk)
+    _split = None
+
+    def _words(self, first: int, n: int) -> np.ndarray:
+        z = np.arange(first, first + n, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return _mix(self._base + (idx + _U64(1)) * _GOLDEN)
+            z += _U64(1)
+            z *= _GOLDEN
+            z += self._base
+        return _mix(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), 53-bit resolution."""
-        return (self._raw(n) >> _U64(11)) * 2.0**-53
+        words = self._words(self.position, n)
+        self.position += n
+        return (words >> _U64(11)) * 2.0**-53
 
-    def _uniforms_open(self, n: int) -> np.ndarray:
-        # uniform on (0, 1]; safe as a log() argument
-        return ((self._raw(n) >> _U64(11)) + 1) * 2.0**-53
+    def _pairs(self, start: int, m: int, lo: int, hi: int,
+               out: np.ndarray) -> None:
+        """Box-Muller pairs lo..hi of the m-pair draw at word `start`.
+
+        Pair j turns word start + j into a radius r (a uniform on (0, 1],
+        safe as a log() argument) and word start + m + j into an angle
+        theta, and writes r cos(theta) to out[j], r sin(theta) to
+        out[m + j]. Every operation is elementwise, so a pair has the same
+        bits whatever range it is computed in.
+        """
+        # a 53-bit word converts exactly from int64 too, and faster
+        words = self._words(start + lo, hi - lo)
+        words >>= _U64(11)
+        words += _U64(1)
+        r = words.view(np.int64) * 2.0**-53
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        words = self._words(start + m + lo, hi - lo)
+        words >>= _U64(11)
+        theta = words.view(np.int64) * 2.0**-53
+        theta *= 2.0 * np.pi
+        for trig, part in ((np.cos, out[lo:hi]),
+                           (np.sin, out[m + lo:m + hi])):
+            trig(theta, out=part)
+            part *= r
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller.
+        """n standard normals via Box-Muller, in a fresh array.
 
         Consumes 2*ceil(n/2) words: the first half feed the radius, the
-        second half the angle.
+        second half the angle. Normal i < ceil(n/2) is the cosine of pair
+        i, the rest are the sines.
         """
         m = (n + 1) // 2
-        u1 = self._uniforms_open(m)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        out = np.empty(2 * m)
+        if self._split is None:
+            self._pairs(self.position, m, 0, m, out)
+        else:
+            self._split(self.position, m, out)
+        self.position += 2 * m
+        return out[:n]
 
     def normal_field(self, shape: tuple[int, ...]) -> np.ndarray:
         n = int(np.prod(shape))

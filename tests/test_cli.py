@@ -1,7 +1,12 @@
 import gc
 import multiprocessing
+import os
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from ade.errors import PredictorTimeoutError
 from ade.params import REQUIRED, resolve
 from ade.rng import CounterRng
 from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
+
+from conftest import SRC
 
 
 
@@ -738,3 +745,84 @@ def test_spectrum_plot_needs_out(workdir, capsys):
     assert cli.main(["spectrum", "--in", "missing.pgm", "--plot"]) == 1
     assert _one_error_line(capsys) == (
         "ade: error: ValidationError: --plot needs --out\n")
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_reverse_needs_a_positive_timeout(workdir, capsys, timeout):
+    _reverse_chain(workdir / "chain.adet", np.float64)
+    assert cli.main(["reverse", "--chain", "chain.adet", "--out", "r",
+                     "--predictor", "extern:ext", "--timeout", timeout]) == 1
+    assert _one_error_line(capsys).startswith(
+        "ade: error: ValidationError: timeout must be > 0")
+    assert not (workdir / "r").exists()
+    assert not (workdir / "ext").exists()
+
+
+# runs the CLI with two chain workers and the reverse helper process, even
+# on one CPU and for a small walk
+_FORKING_ADE = (
+    "import sys\n"
+    "from ade import cli, corruption, reverse\n"
+    "corruption._cpus = lambda: 2\n"
+    "reverse._SPLIT_MIN_VALUES = 0\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def _children(pid):
+    kids = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        kids.update(int(c) for c in (task / "children").read_text().split())
+    return kids
+
+
+def _gone_or_zombie(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _kill_mid_run(argv, cwd, ready, children):
+    """Start `ade argv`, wait until `ready()` holds and the command has
+    `children` child processes, SIGKILL the command and require each child
+    to be gone or a zombie within 2 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-c", _FORKING_ADE, *argv],
+                            cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (ready() and len(kids := _children(proc.pid)) == children):
+            assert proc.poll() is None, "the command ended before the kill"
+            assert time.monotonic() < deadline, "no children to watch"
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2.0
+        while not all(_gone_or_zombie(pid) for pid in kids):
+            assert time.monotonic() < deadline, "a child outlived its parent"
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_chain_workers_die_with_a_killed_parent(workdir):
+    (workdir / "in").mkdir()
+    for i in range(4):
+        rgb = CounterRng(90 + i, 0).uniforms(3 * 128 * 128)
+        io.write_image(workdir / "in" / f"im{i}.ppm",
+                       rgb.reshape(3, 128, 128))
+    _kill_mid_run(["chain", "--in-dir", "in", "--out", "out", "--pe", "1"],
+                  workdir, ready=lambda: True, children=2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_the_reverse_helper_dies_with_a_killed_parent(workdir):
+    _reverse_chain(workdir / "chain.adet", np.float64, shape=(3, 1, 256, 256))
+    asked = workdir / "ext" / "step_2_input.adet"
+    _kill_mid_run(["reverse", "--chain", "chain.adet", "--out", "r",
+                   "--predictor", "extern:ext", "--timeout", "60"],
+                  workdir, ready=asked.exists, children=1)

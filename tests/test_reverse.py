@@ -1,11 +1,13 @@
+import os
+import signal
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from ade import io, reverse
-from ade.corruption import NoiseParams, forward_chain
+from ade import corruption, io, reverse
+from ade.corruption import CorruptionChain, NoiseParams, forward_chain
 from ade.errors import (PredictorTimeoutError, ShapeMismatchError,
                         ValidationError)
 from ade.reverse import (ExternPredictor, OraclePredictor, ZeroPredictor,
@@ -285,3 +287,131 @@ def test_extern_predictor_lets_a_programming_error_escape(tmp_path,
     with pytest.raises(TypeError, match="not a half-written file"):
         pred.predict(np.zeros((4, 4)), 1)
     assert time.monotonic() - start < 2.0  # at once, not at the timeout
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("name", ["timeout", "poll_interval"])
+def test_extern_predictor_needs_a_positive_wait(tmp_path, name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be > 0"):
+        ExternPredictor(tmp_path / "ext", **{name: value})
+    assert not (tmp_path / "ext").exists()
+
+
+def _helper(monkeypatch, on):
+    """Force the helper process on (whatever the CPU count) or off; return
+    the list of helpers the walks start."""
+    monkeypatch.setattr(reverse, "_SPLIT_MIN_VALUES", 0 if on else 1 << 62)
+    if on:
+        monkeypatch.setattr(corruption, "_cpus", lambda: 2)
+    started = []
+    real = reverse._HalfDraws.__init__
+
+    def spy(helper, *args):
+        real(helper, *args)
+        started.append(helper)
+    monkeypatch.setattr(reverse._HalfDraws, "__init__", spy)
+    return started
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _odd_chain(shape, steps=5, seed=40):
+    rows = CounterRng(seed, 0).uniforms((steps + 1) * int(np.prod(shape)))
+    return CorruptionChain(rows.reshape((steps + 1,) + shape))
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9), (1, 1, 1), (2, 5, 6),
+                                   (1, 33, 31)])
+@pytest.mark.parametrize("sigma", [0.0, 0.008])
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "zero"])
+def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
+                                            oracle):
+    chain = _odd_chain(shape)
+    pred = OraclePredictor(chain) if oracle else ZeroPredictor()
+    runs = []
+    for on in (False, True):
+        started = _helper(monkeypatch, on)
+        rng, states = CounterRng(12, 0, position=3), []
+        out = sample(chain.prior, pred, chain.chain_length, sigma, rng,
+                     sink=states.append)
+        assert len(started) == on
+        runs.append((np.stack(states).tobytes(), out.tobytes(),
+                     rng.position))
+        _no_child_left()
+    assert runs[1] == runs[0]
+    assert rng._split is None  # the walk detached its helper
+
+
+def test_a_failed_walk_leaves_no_helper(monkeypatch):
+    chain = _odd_chain((2, 9, 9))
+    started = _helper(monkeypatch, True)
+
+    class WrongAtStep3(OraclePredictor):
+        def predict(self, u_hat, k):
+            return np.zeros((2, 2)) if k == 3 else super().predict(u_hat, k)
+
+    with pytest.raises(ShapeMismatchError):
+        sample(chain.prior, WrongAtStep3(chain), 5, 0.008, CounterRng(1, 0))
+    assert len(started) == 1
+    _no_child_left()
+
+
+def _wait_dead(pid):
+    # until the helper has died, leaving it a zombie for `close` to reap
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
+@pytest.mark.parametrize("when", ["between draws", "during a draw"])
+def test_a_killed_helper_costs_speed_not_bytes(monkeypatch, when):
+    chain = _odd_chain((3, 11, 13), steps=6)
+    _helper(monkeypatch, False)
+    plain = sample(chain.prior, _HalfOracle(chain), 6, 0.008,
+                   CounterRng(2, 0))
+    started = _helper(monkeypatch, True)
+    rng = CounterRng(2, 0)
+
+    def kill(pid):
+        os.kill(pid, signal.SIGKILL)
+        _wait_dead(pid)
+
+    class KillAtStep4(_HalfOracle):
+        def predict(self, u_hat, k):
+            pid = started[0].pid
+            if k == 4 and when == "between draws":  # the job finds no reader
+                kill(pid)
+            elif k == 4:  # stopped before its next job, killed once it is sent
+                os.kill(pid, signal.SIGSTOP)
+                real = rng._pairs
+
+                def pairs(*args):
+                    del rng._pairs
+                    kill(pid)
+                    real(*args)
+                rng._pairs = pairs
+            return super().predict(u_hat, k)
+
+    out = sample(chain.prior, KillAtStep4(chain), 6, 0.008, rng)
+    assert out.tobytes() == plain.tobytes()
+    assert rng.position == 6 * 430  # six draws of 215 pairs
+    assert not started[0].alive
+    _no_child_left()
+
+
+def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch):
+    chain = _odd_chain((1, 6, 6))
+    started = _helper(monkeypatch, True)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
+    finally:
+        release.set()
+        other.join(30.0)
+    assert not other.is_alive()
+    monkeypatch.setattr(corruption, "_cpus", lambda: 1)
+    sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
+    assert started == []

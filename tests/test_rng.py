@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ade.rng import CounterRng, derive_seed
 
@@ -71,3 +72,60 @@ def test_derive_seed_frozen_values():
     assert derive_seed(42, 3, 0) == 3676294358273406211
     assert derive_seed(42, 3) != derive_seed(42, 4)
     assert derive_seed(42, 3, 0) != derive_seed(42, 0, 3)
+
+
+_U = np.uint64
+
+
+def _formula_normals(seed, stream, position, n):
+    """The Box-Muller draw as first written: m radius words, then m angle
+    words, mixed by a functional splitmix64, cosines before sines."""
+    base = _U(derive_seed(seed, stream))
+    m = (n + 1) // 2
+
+    def uniforms(first, offset):
+        z = base + (np.arange(first, first + m, dtype=_U) + _U(1)) * _U(
+            0x9E3779B97F4A7C15)
+        z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
+        return ((z ^ (z >> _U(31))) >> _U(11)) + offset
+
+    with np.errstate(over="ignore"):
+        u1 = uniforms(position, 1) * 2.0**-53
+        u2 = uniforms(position + m, 0) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+_DRAW_SIZES = [0, 1, 2, 3, 4095, 4096, 196607, 196608]
+
+
+@pytest.mark.parametrize("position", [0, 12345])
+@pytest.mark.parametrize("n", _DRAW_SIZES)
+def test_normals_keep_the_bits_of_the_formula(n, position):
+    r = CounterRng(21, 3, position=position)
+    got = r.normals(n)
+    assert got.tobytes() == _formula_normals(21, 3, position, n).tobytes()
+    assert r.position == position + 2 * ((n + 1) // 2)
+
+
+def _cuts(m):
+    if m <= 2048:
+        return range(m + 1)
+    return sorted({0, 1, 2, 7, 8, 9, 63, 64, 65, 1000, m // 2 - 1, m // 2,
+                   m // 2 + 1, m - 8, m - 1, m})
+
+
+@pytest.mark.parametrize("position", [0, 777])
+@pytest.mark.parametrize("n", _DRAW_SIZES)
+def test_every_cut_of_a_draw_has_the_bits_of_the_whole(n, position):
+    m = (n + 1) // 2
+    whole = _formula_normals(5, 1, position, n)
+    r = CounterRng(5, 1)
+    for lo in _cuts(m):
+        out = np.full(2 * m, np.nan)
+        r._pairs(position, m, lo, m, out)
+        r._pairs(position, m, 0, lo, out)
+        assert out[:n].tobytes() == whole.tobytes(), lo
+    assert r.position == 0  # _pairs reads no position and moves none
