@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EngineError, ShapeMismatchError, ValidationError
-from .lattice import init_from_image, macro_update, solver_step
+from .lattice import init_from_image, solver_step
 from .rng import CounterRng, derive_seed
 from .schedule import DiffusionSchedule
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
@@ -131,18 +131,15 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         chain = CorruptionChain(snaps)
         rows = iter(snaps)
         sink = lambda snap: np.copyto(next(rows), snap)  # noqa: E731
-    # each snapshot is formed in the state's sum buffer, free between
-    # steps. A zero-step level repeats the snapshot before it: at the start
-    # that is u0 itself, which the sum over f only approximates
+    # each snapshot is the state's macroscopic field, which every step
+    # writes. A zero-step level repeats the snapshot before it: at the
+    # start that is u0 itself, which the sum over f only approximates
     snap = state.u
     snap[...] = u0
     sink(snap)
     for k in range(1, k_chain + 1):
-        start, stop = boundaries[k - 1], boundaries[k]
-        for g in range(start, stop):
+        for g in range(boundaries[k - 1], boundaries[k]):
             solver_step(state, provider, float(taus[g]), g)
-        if stop > start:
-            macro_update(state, out=snap)
         sink(snap)
     return chain
 

@@ -2,27 +2,31 @@
 
 Populations are stored as f[k, ..., y, x] for the nine directions below,
 with any leading channel axes in between: the channels of one image share
-a velocity field, so one state steps them all at once. One step
-is: pull-stream f_new into f, BGK-collide into f_new using the velocity field
-fetched at the end of the previous step, fetch the velocity for the next
-step, then apply full bounce-back on the outer ring of nodes. Streaming
-wraps toroidally, so it permutes populations and conserves mass exactly;
-the wall update rewrites the ring before the interior ever consumes a
-wrapped value, so the interior sees a closed box, not a torus.
+a velocity field, so one state steps them all at once. One step is one
+pass over the populations: `stream` swaps the buffers `f` and `f_new`;
+`collide` pulls each node's populations, f_k at x - c_k, from `f`, sums
+them into the macroscopic field `u` and BGK-relaxes them into `f_new`,
+using the velocity field fetched at the end of the previous step; then
+`apply_bounce_back` writes full bounce-back on the outer ring of nodes,
+and the ring's part of `u`, from the state's list of wall slices. The
+pull wraps toroidally, so it permutes populations and conserves mass
+exactly; only ring nodes pull across an edge, and the walls rewrite them,
+so the interior sees a closed box, not a torus.
 
 A flow is an argument: `collide` takes a `VelocityField`, or None for no
 flow (Pe = 0, pure heat dissipation). A field has the velocity part of the
 equilibrium, F_k = 1 + 3 c.v + 4.5 (c.v)^2 - 1.5 v.v, built at every
 collide into a 9 x H x W table allocated with the first field, so a
 provider may refill one field's arrays in place. With None, F_k = 1.0
-exactly and x * 1.0 = x, so `collide` forms w u once per weight class
-(rest, axes, diagonals), not once per direction, and scales it by omega
-once: the loop's roundings in its order, as IEEE addition commutes. A
+exactly and x * 1.0 = x, so `collide` forms (w u) omega once per weight
+class (rest, axes, diagonals), not once per direction: the loop's
+roundings in its order, as IEEE addition commutes. A
 field of +0 and -0 takes the loop, where F_k is 1.0 too; the bits agree.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -138,18 +142,36 @@ def _roll_slices(shift: int, n: int) -> list[tuple[slice, slice]]:
             (slice(None, s), slice(n - s, None))]
 
 
-class LatticeState:
-    """Population buffers for scalar fields on an nx-by-ny grid.
+def _edges(shift: int, n: int) -> slice:
+    """The indices (i + shift) mod n of the two edges i = 0 and i = n - 1
+    of an axis of n, in that order, as one slice."""
+    first, last = shift % n, (n - 1 + shift) % n
+    step = last - first
+    stop = last + step
+    return slice(first, stop if stop >= 0 else None, step)
 
-    `f` and `f_new` are (9,) + channels + (ny, nx), allocated once.
-    `f_new` is the live buffer between steps; `f` is the staging buffer the
-    pull-stream writes into. `init_from_image` sets both to the rest
-    equilibrium of its field. `vel` holds the advection field to be used by
-    the next collision (None, no flow, at init, matching the reference
-    loop's zero field). `factor` holds the velocity factor of the last
-    field collided; it is None until the first field, and is then
-    allocated once and rebuilt in place. `moves` holds the (destination,
-    source) slices `stream` copies.
+
+class LatticeState:
+    """Population buffers and the macroscopic field on an nx-by-ny grid.
+
+    `f` and `f_new` are (9,) + channels + (ny, nx), allocated once, and
+    swap roles at every `stream`; `f_new` is the live buffer between
+    steps. `u`, channels + (ny, nx), is sum_k f_k of the live buffer,
+    written by the step that made it; a step writes `u` before it reads
+    it, so a caller may overwrite it between steps, as `forward_chain`
+    does with its first snapshot. `init_from_image` sets both buffers to
+    the rest equilibrium of its field and `u` to their sum. `vel` holds
+    the advection field to be used by the next collision (None, no flow,
+    at init, matching the reference loop's zero field). `factor` holds the
+    velocity factor of the last field collided; it is None until the first
+    field, and is then allocated once and rebuilt in place.
+
+    At flat node index i = y nx + x, direction k pulls from i - shifts[k].
+    `collide` covers `span`, [nx + 1, ny nx - nx - 1), whose every node
+    pulls inside the grid: the interior and some ring nodes. `walls` holds
+    the (destination, source) slices, at most three per direction, that
+    write the ring from `f` into `f_new`, and `rims` the four sides of the
+    ring, whose `u` the walls sum.
     """
 
     def __init__(self, nx: int, ny: int, dtype=np.float64,
@@ -166,22 +188,42 @@ class LatticeState:
         field = tuple(channels) + (self.ny, self.nx)
         self.f = np.zeros((9,) + field, dtype=self.dtype)
         self.f_new = np.zeros((9,) + field, dtype=self.dtype)
+        self.u = np.empty(field, dtype=self.dtype)
         self.vel = None
         self.factor = None
-        # collide's work buffers: sum_k f_k, w_k u in float64, and rest in
-        # the state dtype, which shares the float64 one in a float64 state.
-        # A flow puts f_k (1 - omega) in rest (w_k u is consumed before it
-        # is written); no flow puts (w u) omega there, once per weight
-        # class. Between steps none is live, so a caller may use u, as
-        # `forward_chain` does for its snapshots
-        self.u = np.empty(field, dtype=self.dtype)
-        self.wu = np.empty(field)
+        nodes = self.nx * self.ny
+        self.span = slice(self.nx + 1, nodes - self.nx - 1)
+        self.shifts = [int(CY[k]) * self.nx + int(CX[k]) for k in range(9)]
+        # collide's work buffers over the span: w u in float64, and rest
+        # in the state dtype, which shares the float64 one in a float64
+        # state. A flow puts p_k (1 - omega) in rest once a weight class's
+        # products have consumed w u; no flow puts (w u) omega there
+        span = (math.prod(channels), self.span.stop - self.span.start)
+        self.wu = np.empty(span)
         self.rest = (self.wu if self.dtype == np.float64
-                     else np.empty(field, dtype=self.dtype))
-        self.moves = [((k, ..., ys, xs), (k, ..., ys_from, xs_from))
-                      for k in range(9)
-                      for ys, ys_from in _roll_slices(int(CY[k]), self.ny)
-                      for xs, xs_from in _roll_slices(int(CX[k]), self.nx)]
+                     else np.empty(span, dtype=self.dtype))
+        ny, nx = self.ny, self.nx
+        # whole sides, corners in two: numpy sums a lone node's nine values
+        # pairwise, not in direction order, and a strided pair of sides
+        # through a scratch buffer
+        self.rims = [(slice(0, 1), slice(None)),
+                     (slice(ny - 1, ny), slice(None)),
+                     (slice(None), slice(0, 1)),
+                     (slice(None), slice(nx - 1, nx))]
+        rows, cols = slice(0, ny, ny - 1), slice(0, nx, nx - 1)
+        # ring node r, direction k: the opposite population at r + c_k,
+        # which is what bounce-back turns around into direction k. Both
+        # boundary rows take their source rows through one slice, as do
+        # both boundary columns
+        self.walls = []
+        for k in range(9):
+            cx, cy, opp = int(CX[k]), int(CY[k]), int(OPPOSITE[k])
+            self.walls += [((k, ..., rows, xs), (opp, ..., _edges(cy, ny),
+                                                 xs_from))
+                           for xs, xs_from in _roll_slices(-cx, nx)]
+            self.walls.append(((k, ..., slice(1, ny - 1), cols),
+                               (opp, ..., slice(1 + cy, ny - 1 + cy),
+                                _edges(cx, nx))))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -190,7 +232,7 @@ class LatticeState:
 
 def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
     """State whose macroscopic field equals u0 ([H, W] or [C, H, W]), at
-    rest equilibrium; f and f_new are (9,) + u0.shape."""
+    rest equilibrium; f and f_new are (9,) + u0.shape, and u their sum."""
     u0 = np.asarray(u0)
     if u0.ndim not in (2, 3):
         raise ShapeMismatchError(
@@ -202,28 +244,25 @@ def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
     np.multiply(W.reshape((9,) + (1,) * u0.ndim),
                 u0.astype(state.dtype, copy=False), out=state.f)
     state.f_new[:] = state.f
+    np.sum(state.f, axis=0, out=state.u)
     return state
 
 
 def macro_update(state: LatticeState,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Macroscopic field u = sum_k f_k at every node, written into `out`
-    if given."""
-    return np.sum(state.f, axis=0, out=out)
+    """Macroscopic field u = sum_k f_k at every node, as the last step
+    formed it: a copy of `state.u`, written into `out` if given."""
+    if out is None:
+        return state.u.copy()
+    np.copyto(out, state.u)
+    return out
 
 
 def stream(state: LatticeState) -> None:
-    """Pull-stream: f[k, y, x] <- f_new[k, y - cy_k, x - cx_k], wrapping.
-
-    Each direction is at most four slice copies, the same permutation as
-    `np.roll`. The wrap makes streaming a permutation of all slots (mass
-    moves, none is created or lost). Interior nodes only ever pull in-grid
-    neighbors; the ring slots that pick up wrapped values are rewritten by
-    the wall update before the interior consumes them.
-    """
-    f, f_new = state.f, state.f_new
-    for to, frm in state.moves:
-        f[to] = f_new[frm]
+    """Swap the population buffers, so the previous step's output is the
+    `f` that `collide` (the span) and `apply_bounce_back` (the ring) pull
+    from, with the permutation of `np.roll`."""
+    state.f, state.f_new = state.f_new, state.f
 
 
 def _checked(state: LatticeState,
@@ -240,64 +279,74 @@ def _checked(state: LatticeState,
 
 def collide(state: LatticeState, vel: VelocityField | None,
             tau: float) -> None:
-    """BGK relaxation toward equilibrium: f_new = (1 - 1/tau) f + (1/tau) f_eq.
+    """Pull and BGK-relax the nodes of `state.span`: with p_k = f_k at
+    x - c_k, u = sum_k p_k and f_new = (1 - 1/tau) p + (1/tau) f_eq.
 
-    The macroscopic field is taken as sum_k f_k at each node; the velocity
-    factor of f_eq broadcasts over the channel axes. Per-node mass is
-    preserved for any tau > 1/2; the update is a contraction toward
-    equilibrium for tau >= 1. `vel` None means no flow, and no table is
-    allocated or read; a `VelocityField` has its factor built into
-    `state.factor` at every call, so its arrays may be refilled in place
-    between calls. Without a flow, w u is formed once per weight class,
-    rounded to the state dtype, scaled by omega and added to each f_k (1 -
-    omega) of the class: the loop's roundings in its order, so the bits
-    agree.
+    Each direction is pulled through one contiguous view of its flattened
+    plane, shifted by `state.shifts[k]`; the span's ring nodes get values
+    pulled across a row end, which `apply_bounce_back` rewrites. `u` is
+    summed in direction order, ((p_0 + p_1) + p_2) ... + p_8, the bits of
+    `np.sum` over axis 0. The velocity factor of f_eq broadcasts over the
+    channel axes. Per-node mass is preserved for any tau > 1/2; the
+    update is a contraction toward equilibrium for tau >= 1. `vel` None
+    means no flow, and no table is allocated or read; a `VelocityField`
+    has its factor built into `state.factor` at every call, so its arrays
+    may be refilled in place between calls. Without a flow, w u is formed
+    once per weight class, rounded to the state dtype, scaled by omega and
+    added to each p_k (1 - omega) of the class: the loop's roundings in
+    its order, so the bits agree.
     """
     if not tau > 0.5:
         raise StabilityError(f"tau must exceed 1/2, got {tau}")
     omega = 1.0 / tau
-    f, f_new, wu, rest = state.f, state.f_new, state.wu, state.rest
-    u = np.sum(f, axis=0, out=state.u)
+    nodes = state.nx * state.ny
+    lo, hi = state.span.start, state.span.stop
+    f = state.f.reshape(9, -1, nodes)
+    out = state.f_new.reshape(9, -1, nodes)[:, :, lo:hi]
+    pulled = [f[k, :, lo - s:hi - s] for k, s in enumerate(state.shifts)]
+    u = state.u.reshape(-1, nodes)[:, lo:hi]
+    wu, rest = state.wu, state.rest
+    np.add(pulled[0], pulled[1], out=u)
+    for p in pulled[2:]:
+        u += p
     if vel is None:
         for ks in WEIGHT_CLASSES:
             # w u in float64, rounded to the state dtype as in the loop below
             np.multiply(W[ks.start], u, out=rest, dtype=np.float64)
             rest *= omega
-            out = f_new[ks]
-            np.multiply(f[ks], 1.0 - omega, out=out)
-            out += rest
+            for k in range(ks.start, ks.stop):
+                np.multiply(pulled[k], 1.0 - omega, out=out[k])
+                out[k] += rest
         return
     state.factor = velocity_factor(*_checked(state, vel), out=state.factor)
-    for k in range(9):
+    factor = state.factor.reshape(9, nodes)[:, lo:hi]
+    for ks in WEIGHT_CLASSES:
         # (w_k u) F_k in float64, rounded to the state dtype as `equilibrium`
-        # then astype would; IEEE addition commutes, so adding f_k (1 -
-        # omega) last rounds exactly like (1 - omega) f + omega f_eq
-        out = f_new[k]
-        np.multiply(W[k], u, out=wu, dtype=np.float64)
-        np.multiply(wu, state.factor[k], out=out)
-        out *= omega
-        np.multiply(f[k], 1.0 - omega, out=rest)
-        out += rest
+        # then astype would, with w_k u formed once per weight class before
+        # rest takes its buffer; IEEE addition commutes, so adding p_k (1 -
+        # omega) last rounds exactly like (1 - omega) p + omega f_eq
+        np.multiply(W[ks.start], u, out=wu, dtype=np.float64)
+        for k in range(ks.start, ks.stop):
+            np.multiply(wu, factor[k], out=out[k])
+        for k in range(ks.start, ks.stop):
+            out[k] *= omega
+            np.multiply(pulled[k], 1.0 - omega, out=rest)
+            out[k] += rest
 
 
 def apply_bounce_back(state: LatticeState) -> None:
-    """Full bounce-back on the outer ring, published into f_new.
+    """Full bounce-back on the outer ring, written into f_new and u.
 
-    Opposite populations are swapped in f on the two boundary rows and the
-    two boundary columns (corners once), then the ring of f is copied into
-    f_new so the next stream pulls wall-reflected values.
+    Ring node r takes f_new_k = f_opp(k) at r + c_k, wrapping at the
+    edges: the population it pulls in the opposite direction, turned
+    around. The nodes never collide. `u` on the ring is then their sum in
+    direction order, one `np.sum` per side of the ring.
     """
-    ny, nx = state.ny, state.nx
-    f, f_new = state.f, state.f_new
-    ring = [
-        (slice(0, 1), slice(None)),
-        (slice(ny - 1, ny), slice(None)),
-        (slice(1, ny - 1), slice(0, 1)),
-        (slice(1, ny - 1), slice(nx - 1, nx)),
-    ]
-    for ys, xs in ring:
-        f[..., ys, xs] = f[OPPOSITE, ..., ys, xs]  # the gather copies
-        f_new[..., ys, xs] = f[..., ys, xs]
+    f, f_new, u = state.f, state.f_new, state.u
+    for to, frm in state.walls:
+        f_new[to] = f[frm]
+    for ys, xs in state.rims:
+        np.sum(f_new[..., ys, xs], axis=0, out=u[..., ys, xs])
 
 
 def solver_step(state: LatticeState, vel_provider: VelocityProvider,
@@ -306,10 +355,11 @@ def solver_step(state: LatticeState, vel_provider: VelocityProvider,
 
     Stream, collide with the previously fetched velocity, fetch the field
     for the next step from `vel_provider(step_index)`, then apply the wall
-    update. The very first step therefore collides with no flow. The
-    provider returns a `VelocityField`, a new one or the same one refilled
-    in place, or None for no flow; a field is shape-checked here and has
-    its factor built at the collide that uses it.
+    update; `f_new` and `u` then hold the step's populations and
+    macroscopic field. The very first step therefore collides with no
+    flow. The provider returns a `VelocityField`, a new one or the same
+    one refilled in place, or None for no flow; a field is shape-checked
+    here and has its factor built at the collide that uses it.
     """
     stream(state)
     collide(state, state.vel, tau)

@@ -61,6 +61,54 @@ def test_manifest_replay_is_byte_identical(corrupt_run, run_ade):
             == io.file_sha256(corrupt_run / "run2" / "chain.adet"))
 
 
+# numpy's CPU dispatch targets below the default, each named by the
+# features NPY_DISABLE_CPU_FEATURES turns off: AVX2 (no AVX-512), and the
+# X86_V2 baseline (no AVX2 either)
+_TARGETS = ("X86_V4 AVX512_ICL AVX512_SPR",
+            "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+
+def _dispatched(features):
+    """Whether numpy dispatches kernels for every one of `features` and
+    this CPU has them, so disabling them changes the target."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        return False
+    dispatch = getattr(umath, "__cpu_dispatch__", [])
+    have = getattr(umath, "__cpu_features__", {})
+    return all(name in dispatch and have.get(name) for name in
+               features.split())
+
+
+def test_a_still_chain_is_the_same_bits_on_every_dispatch_target(tmp_path,
+                                                                 run_ade):
+    # Pe 0 steps with +, x and copies alone, whose bits no SIMD target
+    # changes; log, exp, power and tanh (Pe > 0, noise) may differ
+    targets = [t for t in _TARGETS if _dispatched(t)]
+    if not targets:
+        pytest.skip("numpy dispatches no target below this CPU's default")
+    _field_image(tmp_path / "a.pgm", 3, n=32)
+    digests = set()
+    for run, disabled in enumerate([None] + targets):
+        env = {"NPY_DISABLE_CPU_FEATURES": disabled} if disabled else {}
+        if disabled:
+            # the variable took effect: the child has none of the features
+            probe = subprocess.run(
+                [sys.executable, "-c",
+                 "from numpy._core import _multiarray_umath as m; "
+                 f"print(any(m.__cpu_features__[n] for n in {disabled!r}"
+                 ".split()))"],
+                env={**os.environ, **env}, capture_output=True, text=True)
+            assert probe.stdout.strip() == "False", probe.stderr
+        proc = run_ade(["corrupt", "--in", "a.pgm", "--out", f"run{run}",
+                        "--steps", "4", "--sigma-max", "4", "--pe", "0",
+                        "--seed", "3"], cwd=tmp_path, env_extra=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(io.file_sha256(tmp_path / f"run{run}" / "chain.adet"))
+    assert len(digests) == 1
+
+
 def test_config_can_come_from_the_environment(corrupt_run, run_ade):
     proc = run_ade(["corrupt", "--out", "run3"], cwd=corrupt_run,
                    env_extra={"ADE_CONFIG": "run1/manifest.txt"})

@@ -170,6 +170,37 @@ def test_a_moving_chain_builds_one_factor_per_fetched_field(monkeypatch):
     assert len(builds) == 13
 
 
+def _count_phases(monkeypatch):
+    """Counters on the three lattice phases, installed at the module
+    attributes the way an outside-in tracer installs its spans; each call
+    records the nodes its state covers."""
+    calls = {name: [] for name in ("stream", "collide", "apply_bounce_back")}
+    for name, seen in calls.items():
+        real = getattr(lattice, name)
+
+        def counting(state, *args, _real=real, _seen=seen):
+            _seen.append(state.f.size // 9)
+            return _real(state, *args)
+
+        monkeypatch.setattr(lattice, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("peclet", [0.0, 0.1])
+def test_each_lattice_step_calls_each_phase_once(monkeypatch, peclet):
+    calls = _count_phases(monkeypatch)
+    state = lattice.init_from_image(np.stack([_field(11), _field(12)]))
+    lattice.solver_step(state, lambda step: None, 0.8, 0)
+    assert calls == {name: [2 * 16 * 16] for name in calls}
+
+    for seen in calls.values():
+        seen.clear()
+    # a ladder with a zero-step level: one collide per lattice step
+    sch = _schedule(sigmas=(0.5, 1.0, 1.0, 2.0), peclet=peclet)
+    forward_chain(_field(9), sch, seed=0, sink=lambda snap: None)
+    assert calls == {name: [16 * 16] * sch.lattice_steps for name in calls}
+
+
 def test_channels_share_the_velocity_field():
     sch = _schedule(peclet=0.2)
     u0 = np.stack([_field(5), _field(5), _field(5)])

@@ -13,6 +13,22 @@ from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
 import lattice_reference
 
 
+INNER = (..., slice(1, -1), slice(1, -1))
+
+
+def _pulled(f):
+    """The populations each node pulls, f_k at x - c_k wrapping at the
+    edges, built with `np.roll`."""
+    return np.stack([np.roll(f[k], (int(lattice.CY[k]), int(lattice.CX[k])),
+                             axis=(-2, -1)) for k in range(9)])
+
+
+def _ring(shape):
+    ring = np.ones(shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    return ring
+
+
 def _zero_provider(shape):
     z = np.zeros(shape)
     return lambda step: VelocityField(z, z)
@@ -92,22 +108,35 @@ def test_float32_state_keeps_requested_dtype():
 def test_stream_moves_a_pulse_and_wraps():
     st = LatticeState(5, 5)
     st.f_new[:] = 0.0
-    st.f_new[1, 2, 3] = 1.0   # direction (+1, 0)
+    st.f_new[1, 2, 2] = 1.0   # direction (+1, 0)
     st.f_new[2, 4, 1] = 2.0   # direction (0, +1), pulls off the top edge
+    last = st.f_new
     lattice.stream(st)
-    assert st.f[1, 2, 4] == 1.0
-    assert st.f[2, 0, 1] == 2.0  # wrapped row; the wall update rewrites it
-    assert st.f.sum() == 3.0
+    assert st.f is last  # the step pulls from the last step's output
+    lattice.collide(st, None, 1.0)
+    lattice.apply_bounce_back(st)
+    assert st.u[2, 3] == 1.0  # pulled one node along +x
+    assert st.f_new[1, 2, 3] == lattice.W[1]
+    # pulled across the wrap onto the ring, then turned around by the wall
+    assert st.u[0, 1] == 2.0
+    assert st.f_new[4, 0, 1] == 2.0
+    assert st.u.sum() == 3.0
 
 
 def test_stream_is_a_permutation():
     st = LatticeState(9, 6)
     st.f_new[:] = CounterRng(3, 0).uniforms(9 * 6 * 9).reshape(9, 6, 9)
-    before = float(np.sum(st.f_new, dtype=np.float64))
+    last, other = st.f_new.copy(), st.f
     lattice.stream(st)
-    assert np.sum(st.f) == pytest.approx(before, abs=1e-13)
-    # every value survives, it just lands somewhere else
-    assert sorted(st.f.ravel().tolist()) == sorted(st.f_new.ravel().tolist())
+    # the buffers trade places, so no value is copied, made or lost
+    assert st.f_new is other and np.array_equal(st.f, last)
+    lattice.collide(st, None, 0.8)
+    lattice.apply_bounce_back(st)
+    # every value is pulled by exactly one node: the mass survives
+    before = float(np.sum(last, dtype=np.float64))
+    assert float(np.sum(st.u, dtype=np.float64)) == pytest.approx(before,
+                                                                  abs=1e-13)
+    assert np.array_equal(st.u[INNER], _pulled(last).sum(axis=0)[INNER])
 
 
 def test_collide_frozen_single_node():
@@ -126,8 +155,8 @@ def test_collide_at_tau_one_lands_on_equilibrium():
     vx = np.full((4, 4), 2e-3)
     vy = np.full((4, 4), -1e-3)
     lattice.collide(st, VelocityField(vx, vy), 1.0)
-    feq = lattice.equilibrium(st.f.sum(axis=0), vx, vy)
-    assert np.array_equal(st.f_new, feq)
+    feq = lattice.equilibrium(_pulled(st.f).sum(axis=0), vx, vy)
+    assert np.array_equal(st.f_new[INNER], feq[INNER])
 
 
 def test_collide_preserves_node_mass():
@@ -135,9 +164,9 @@ def test_collide_preserves_node_mass():
     st.f[:] = CounterRng(21, 0).uniforms(9 * 36).reshape(9, 6, 6)
     vx = 1e-3 * (CounterRng(21, 1).uniforms(36).reshape(6, 6) - 0.5)
     vy = 1e-3 * (CounterRng(21, 2).uniforms(36).reshape(6, 6) - 0.5)
-    before = st.f.sum(axis=0)
+    before = _pulled(st.f).sum(axis=0)
     lattice.collide(st, VelocityField(vx, vy), 0.8)
-    assert np.max(np.abs(st.f_new.sum(axis=0) - before)) < 1e-14
+    assert np.max(np.abs(st.f_new.sum(axis=0) - before)[INNER]) < 1e-14
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -148,11 +177,14 @@ def test_collide_matches_the_bgk_formula_bitwise(dtype):
     vx = 1e-2 * (CounterRng(22, 2).uniforms(36).reshape(6, 6) - 0.5)
     vy = 1e-2 * (CounterRng(22, 3).uniforms(36).reshape(6, 6) - 0.5)
     tau = 0.8
-    feq = lattice.equilibrium(st.f.sum(axis=0), vx, vy).astype(dtype)
-    expect = (1.0 - 1.0 / tau) * st.f + (1.0 / tau) * feq
+    pulled = _pulled(st.f)
+    u = pulled.sum(axis=0)
+    feq = lattice.equilibrium(u, vx, vy).astype(dtype)
+    expect = (1.0 - 1.0 / tau) * pulled + (1.0 / tau) * feq
     lattice.collide(st, VelocityField(vx, vy), tau)
     assert st.f_new.dtype == expect.dtype == dtype
-    assert st.f_new.tobytes() == expect.tobytes()
+    assert st.f_new[INNER].tobytes() == expect[INNER].tobytes()
+    assert st.u[INNER].tobytes() == u[INNER].tobytes()
 
 
 def test_collide_validates_tau_and_shapes():
@@ -169,20 +201,20 @@ def test_bounce_back_swaps_ring_pairs_and_publishes():
     st = LatticeState(5, 4)
     st.f[:] = CounterRng(14, 0).uniforms(9 * 4 * 5).reshape(9, 4, 5)
     st.f_new[:] = -1.0
+    st.u[:] = -1.0
     before = st.f.copy()
     lattice.apply_bounce_back(st)
-    # top-left corner: each population became its opposite
+    pulled, ring = _pulled(before), _ring((4, 5))
+    # every ring node (corners once) turns each pulled population around
     for a in range(9):
-        assert st.f[a, 0, 0] == before[lattice.OPPOSITE[a], 0, 0]
-    # interior untouched, and not published
-    inner = (slice(None), slice(1, -1), slice(1, -1))
-    assert np.array_equal(st.f[inner], before[inner])
-    assert np.all(st.f_new[inner] == -1.0)
-    # ring published into f_new
-    assert np.array_equal(st.f_new[:, 0, :], st.f[:, 0, :])
-    assert np.array_equal(st.f_new[:, -1, :], st.f[:, -1, :])
-    assert np.array_equal(st.f_new[:, :, 0], st.f[:, :, 0])
-    assert np.array_equal(st.f_new[:, :, -1], st.f[:, :, -1])
+        assert np.array_equal(st.f_new[a][ring],
+                              pulled[lattice.OPPOSITE[a]][ring]), a
+    # f is only read, and the interior is left to collide
+    assert np.array_equal(st.f, before)
+    assert np.all(st.f_new[INNER] == -1.0)
+    assert np.all(st.u[INNER] == -1.0)
+    # the ring's macroscopic field sums what the ring now holds, in order
+    assert np.array_equal(st.u[ring], st.f_new.sum(axis=0)[ring])
 
 
 def test_first_step_collides_with_zero_velocity():
@@ -258,8 +290,9 @@ def _switching_provider(size):
     return provider
 
 
-def _run_both(u0, make_provider, dtype, steps):
-    """Step the kernels and the reference from u0 side by side."""
+def _run_both(u0, make_provider, dtype, steps, each=None):
+    """Step the kernels and the reference from u0 side by side, calling
+    `each(step, st, ref)` after every step."""
     st = lattice.init_from_image(u0, dtype=dtype)
     ref = lattice_reference.RefState(u0, dtype=dtype)
     provider, ref_provider = make_provider(), make_provider()
@@ -267,6 +300,8 @@ def _run_both(u0, make_provider, dtype, steps):
         tau = 0.55 + 0.45 * ((7 * step) % 11) / 10.0
         lattice.solver_step(st, provider, tau, step)
         lattice_reference.solver_step(ref, ref_provider, tau, step)
+        if each is not None:
+            each(step, st, ref)
     return st, ref
 
 
@@ -275,6 +310,12 @@ _REFERENCE_CASES = {
     "turbulent": ((3, 16, 16), lambda: _turbulent_provider(16)),
     "rgb_nonsquare_pe0": ((3, 12, 20), lambda: _still_provider((12, 20))),
     "switching": ((3, 16, 16), lambda: _switching_provider(16)),
+    # the smallest grids, where the ring is most of the nodes: 3x3 has one
+    # node that collides, 3x11 one row and 11x3 one column
+    "grid_3x3": ((1, 3, 3), lambda: _random_provider((3, 3))),
+    "grid_3x11": ((2, 3, 11), lambda: _random_provider((3, 11))),
+    "grid_11x3": ((2, 11, 3), lambda: _random_provider((11, 3))),
+    "gray_2d": ((16, 16), lambda: _switching_provider(16)),
 }
 
 
@@ -283,10 +324,15 @@ _REFERENCE_CASES = {
 def test_step_matches_the_reference_bitwise(case, dtype):
     shape, make_provider = _REFERENCE_CASES[case]
     u0 = CounterRng(23, 0).uniforms(int(np.prod(shape))).reshape(shape)
-    st, ref = _run_both(u0, make_provider, dtype, 300)
-    assert st.f.dtype == ref.f.dtype == dtype
-    assert st.f.tobytes() == ref.f.tobytes()
-    assert st.f_new.tobytes() == ref.f_new.tobytes()
+
+    def same(step, st, ref):
+        assert st.f_new.tobytes() == ref.f_new.tobytes(), step
+        assert (lattice.macro_update(st).tobytes()
+                == ref.f.sum(axis=0).tobytes()), step
+
+    st, ref = _run_both(u0, make_provider, dtype, 300, same)
+    assert st.f_new.dtype == ref.f_new.dtype == dtype
+    assert np.isfinite(st.f_new).all()
 
 
 def test_a_new_field_every_step_is_honoured():
@@ -380,10 +426,17 @@ def test_unsupported_dtype_is_a_validation_error():
 
 def test_stream_equals_roll_in_every_direction():
     st = LatticeState(7, 5, channels=(3,))
-    st.f_new[:] = CounterRng(26, 0).uniforms(9 * 3 * 5 * 7).reshape(
-        9, 3, 5, 7)
+    last = CounterRng(26, 0).uniforms(9 * 3 * 5 * 7).reshape(9, 3, 5, 7)
+    st.f_new[:] = last
     lattice.stream(st)
+    lattice.collide(st, None, 2.0)
+    lattice.apply_bounce_back(st)
+    # at tau = 2 each f_new_k keeps half of the p_k it pulled, so a wrong
+    # shift in any one direction shows in that direction
+    pulled, ring = _pulled(last), _ring((5, 7))
+    u = pulled.sum(axis=0)
     for k in range(9):
-        expect = np.roll(st.f_new[k], (int(lattice.CY[k]),
-                                       int(lattice.CX[k])), axis=(-2, -1))
-        assert np.array_equal(st.f[k], expect), k
+        expect = pulled[k] * 0.5 + (lattice.W[k] * u) * 0.5
+        assert np.array_equal(st.f_new[k][INNER], expect[INNER]), k
+        back = pulled[lattice.OPPOSITE[k]]
+        assert np.array_equal(st.f_new[k][:, ring], back[:, ring]), k
