@@ -7,10 +7,10 @@ to disk holding one snapshot. The channels of an image step as one lattice
 state: they evolve independently but share the velocity field, generated
 once per step.
 A dataset's images do not depend on each other (image i has the seed
-(seed, i)), so `precompute_dataset` runs them in up to one forked worker
-process per available CPU, each holding one lattice state, and publishes
-the chains in name order: the files, the report and what a failure leaves
-do not depend on the worker count.
+(seed, i)), so `precompute_dataset` runs them in the calling process and
+up to one forked child per further CPU, each holding one lattice state,
+and publishes the chains in name order: the files, the report and what a
+failure leaves do not depend on the process count.
 Training noise is never folded back into the chain; it is added on the fly
 when a pair is requested.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import pickle
 import shutil
 import signal
 import sys
@@ -205,8 +206,8 @@ def _fork_width(parts: int) -> int:
 
 
 def _die_with(parent: int) -> None:
-    # pool initializer: a worker must not outlive a killed parent, which
-    # can no longer join it
+    # run first in a forked child: it must not outlive a killed parent,
+    # which can no longer reap it
     if sys.platform.startswith("linux"):
         import ctypes
         prctl = ctypes.CDLL(None).prctl
@@ -218,32 +219,69 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
-@contextlib.contextmanager
-def _mapper(workers: int):
-    """An ordered, lazy map over `workers` forked processes, or the builtin
-    map for one worker.
+def _claim_and_run(run: Callable, jobs: list, stage: Path,
+                   done: dict) -> None:
+    # job i is run by the process that creates stage/.claim-<i>: an
+    # exclusive create is a claim no dying process can leave half made
+    for i, job in enumerate(jobs):
+        try:
+            os.close(os.open(stage / f".claim-{i}",
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            continue
+        done[i] = run(job)
 
-    The workers are forked before the pool starts its own threads, and
-    multiprocessing flushes stdout and stderr before each fork, so no child
-    prints a copy of buffered output. Leaving the block cancels the jobs
-    not started, waits for those running and joins every worker; a worker
-    that dies raises BrokenProcessPool rather than hanging the map. On
-    Linux a worker is killed with its parent, and elsewhere a worker
-    forked after the parent died exits at once.
+
+def _fork_map(run: Callable, jobs: list, stage: Path):
+    """map(run, jobs), run by this process and `_fork_width - 1` forked
+    children, `stage` being an empty dir private to the call.
+
+    Every process takes the next job nobody has taken, and a child reports
+    the jobs it finished once none is left. The children are reaped before
+    the first result is yielded, in job order; a job no child reported
+    (its child raised or died) is run here at its turn, so a failing job
+    raises here, at its place. Output is flushed before each fork, and a
+    child leaves only through `os._exit`, never into the caller's frames.
     """
-    if workers > 1:
-        # imported here, not by every command: about 2 MB and 15 ms
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                workers, multiprocessing.get_context("fork"),
-                initializer=_die_with, initargs=(os.getpid(),)) as pool:
-            try:
-                yield pool.map
-            finally:
-                pool.shutdown(cancel_futures=True)
-    else:
-        yield map
+    done: dict = {}
+    children = []
+    parent = os.getpid()
+    try:
+        for _ in range(_fork_width(len(jobs)) - 1):
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+            report, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(report)
+                    _die_with(parent)
+                    _claim_and_run(run, jobs, stage, done)
+                finally:
+                    try:
+                        with open(write, "wb") as f:
+                            f.write(pickle.dumps(done))
+                    finally:
+                        os._exit(0)
+            os.close(write)
+            children.append((pid, report))
+        if children:
+            # a failed job is left unreported, to be run again below
+            with contextlib.suppress(Exception):
+                _claim_and_run(run, jobs, stage, done)
+        # read only now: a child blocked on a long report merely waits
+        for _, report in children:
+            with open(report, "rb", closefd=False) as f, \
+                    contextlib.suppress(EOFError, pickle.UnpicklingError):
+                done.update(pickle.loads(f.read()))
+    finally:
+        for pid, report in children:
+            os.close(report)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i, job in enumerate(jobs):
+        yield done[i] if i in done else run(job)
 
 
 def _chain_image(job: tuple[int, str], input_dir: Path, stage: Path,
@@ -289,12 +327,13 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
     name -> sha256) and `errors` (image name -> message), both in name
     order.
 
-    The images run in up to one forked worker process per CPU of this
-    process's affinity mask, each worker holding one lattice state and
-    streaming one chain at a time to a staging dir inside out_dir. The
-    chains are published in name order, so the files, the report and the
-    state an error leaves are those of a walk in one process: a failure
-    at image i leaves the chains before i written and no later one.
+    The images run in this process and up to one forked child per further
+    CPU of its affinity mask, each holding one lattice state and streaming
+    one chain at a time to a staging dir inside out_dir. The chains are
+    published in name order, so the files, the report and the state an
+    error leaves are those of a walk in one process: a failure at image i
+    leaves the chains before i written and no later one. A child that
+    dies costs time, not bytes, and no child outlives the call.
     """
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
@@ -327,17 +366,16 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
             _chain_image, input_dir=input_dir, stage=stage,
             ref_shape=ref_shape, schedule=schedule, seed=seed,
             turbulence=turbulence, dtype=dtype)
-        with _mapper(_fork_width(len(jobs))) as mapper:
-            for name, out_name, outcome in mapper(run, jobs):
-                if out_name is None:
-                    errors[name] = outcome
-                elif out_name in owners:
-                    errors[name] = (f"chain name {out_name} already taken "
-                                    f"by {owners[out_name]}")
-                else:
-                    os.replace(stage / name, out_dir / out_name)
-                    owners[out_name] = name
-                    written[out_name] = outcome
+        for name, out_name, outcome in _fork_map(run, jobs, stage):
+            if out_name is None:
+                errors[name] = outcome
+            elif out_name in owners:
+                errors[name] = (f"chain name {out_name} already taken "
+                                f"by {owners[out_name]}")
+            else:
+                os.replace(stage / name, out_dir / out_name)
+                owners[out_name] = name
+                written[out_name] = outcome
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     return {"written": written, "errors": errors}

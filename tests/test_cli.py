@@ -1,5 +1,4 @@
 import gc
-import multiprocessing
 import os
 import struct
 import subprocess
@@ -659,7 +658,8 @@ def test_a_dataset_that_fails_at_image_2_publishes_image_1_alone(
         1, 12, 12)
     assert list(workdir.rglob(".stage-*")) == []
     assert list(workdir.rglob("*.tmp")) == []
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child left
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_chain_name_taken_twice_is_an_error_line(workdir, capsys):
@@ -806,8 +806,8 @@ def test_reverse_needs_a_positive_timeout(workdir, capsys, timeout):
     assert not (workdir / "ext").exists()
 
 
-# runs the CLI with two chain workers and the reverse helper process, even
-# on one CPU and for a small walk
+# runs the CLI with two chain processes (the command and one child) and the
+# reverse helper process, even on one CPU and for a small walk
 _FORKING_ADE = (
     "import sys\n"
     "from ade import cli, corruption, reverse\n"
@@ -863,8 +863,29 @@ def test_chain_workers_die_with_a_killed_parent(workdir):
         rgb = CounterRng(90 + i, 0).uniforms(3 * 128 * 128)
         io.write_image(workdir / "in" / f"im{i}.ppm",
                        rgb.reshape(3, 128, 128))
+    # min(2 CPUs, 4 images) processes: the command and one child
     _kill_mid_run(["chain", "--in-dir", "in", "--out", "out", "--pe", "1"],
-                  workdir, ready=lambda: True, children=2)
+                  workdir, ready=lambda: True, children=1)
+
+
+def test_chain_forks_its_workers_without_a_process_pool(tmp_path):
+    (tmp_path / "in").mkdir()
+    for i, name in enumerate("ab"):
+        _field_image(tmp_path / "in" / f"{name}.pgm", 95 + i, n=12)
+    script = _FORKING_ADE.replace(
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        "code = cli.main(sys.argv[1:])\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'}\n"
+        "             & set(sys.modules)))\n"
+        "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, "chain", "--in-dir",
+                           "in", "--out", "o", "--steps", "2", "--pe", "0.1"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("written=2 errors=0 ")
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")

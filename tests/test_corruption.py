@@ -1,9 +1,9 @@
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -374,16 +374,30 @@ def test_a_chain_name_freed_by_an_unreadable_image_is_written(tmp_path):
 
 
 def _workers(monkeypatch, count):
-    """Force `count` workers; return the list of the pool maps run."""
+    """Force `count` CPUs; return the list of the children forked."""
     monkeypatch.setattr(corruption, "_cpus", lambda: count)
-    maps = []
-    real = ProcessPoolExecutor.map
+    forks = []
+    real = os.fork
 
-    def spy(pool, *args, **kwargs):
-        maps.append(pool)
-        return real(pool, *args, **kwargs)
-    monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
-    return maps
+    def spy():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _wait_for(ready, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not ready():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -400,11 +414,11 @@ def test_the_worker_count_changes_no_byte_and_no_report(tmp_path,
     sch = _schedule(n=12, peclet=peclet)
     runs = {}
     for count in (1, 2, 3):
-        maps = _workers(monkeypatch, count)
+        forks = _workers(monkeypatch, count)
         out = tmp_path / f"out{count}"
         report = precompute_dataset(src, out, sch, seed=9, dtype=dtype)
-        assert len(maps) == (count > 1)  # the pool ran, or no pool was made
-        assert multiprocessing.active_children() == []
+        assert len(forks) == count - 1  # this process runs images too
+        _no_child_left()
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         runs[count] = (report, list(report["written"]),
                        list(report["errors"]), files)
@@ -439,38 +453,92 @@ def test_buffered_output_is_printed_once_across_the_fork(tmp_path):
     assert proc.stdout == "before the pool\n3\n"
 
 
-def test_a_worker_that_dies_fails_the_run_and_hangs_nothing(tmp_path):
+def test_a_child_killed_mid_image_costs_time_not_bytes(tmp_path,
+                                                       monkeypatch):
     src = tmp_path / "in"
     src.mkdir()
     for i, name in enumerate(("a.pgm", "b.pgm", "c.pgm")):
         _write_pgm(src / name, 70 + i)
-    # image b's worker is killed at its first snapshot
-    script = (
-        "import os, signal, sys\n"
-        "import numpy as np\n"
-        "from ade import corruption, io\n"
-        "from ade.schedule import DiffusionSchedule, sigma_to_fo\n"
-        "src, out = sys.argv[1:]\n"
-        "doomed = io.read_image(src + '/b.pgm')[0]\n"
-        "real = io.TensorWriter.append\n"
-        "def append(self, row):\n"
-        "    if np.array_equal(row, doomed):\n"
-        "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    real(self, row)\n"
-        "io.TensorWriter.append = append\n"
-        "corruption._cpus = lambda: 2\n"
-        "sch = DiffusionSchedule.from_levels([sigma_to_fo(0.5, 12)], 12.0)\n"
-        "try:\n"
-        "    corruption.precompute_dataset(src, out, sch, seed=0)\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__)\n"
-        "import multiprocessing\n"
-        "print(multiprocessing.active_children())\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", script, str(src),
-                           str(tmp_path / "out")], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "BrokenProcessPool\n[]\n"
-    assert list((tmp_path / "out").glob(".stage-*")) == []
-    assert "c_chain.adet" not in {p.name for p in (tmp_path / "out").iterdir()}
+    sch = _schedule(n=12, peclet=0.1)
+    _workers(monkeypatch, 1)
+    alone = precompute_dataset(src, tmp_path / "alone", sch, seed=0)
+    parent = os.getpid()
+    killed = tmp_path / "killed"
+    real = io.TensorWriter.append
+
+    def append(self, row):
+        if os.getpid() != parent:  # the child dies at its first snapshot
+            killed.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        _wait_for(killed.exists)
+        real(self, row)
+    monkeypatch.setattr(io.TensorWriter, "append", append)
+    forks = _workers(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert precompute_dataset(src, out, sch, seed=0) == alone
+    assert len(forks) == 1 and killed.exists()
+    _no_child_left()
+    assert list(out.glob(".stage-*")) == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in (tmp_path / "alone").iterdir()}
+
+
+def test_a_job_that_fails_in_a_child_fails_the_run_at_its_image(
+        tmp_path, monkeypatch):
+    src = tmp_path / "in"
+    src.mkdir()
+    names = ["a.pgm", "b.pgm", "c.pgm", "d.pgm"]
+    for i, name in enumerate(names):
+        _write_pgm(src / name, 75 + i)
+    parent = os.getpid()
+    doomed = tmp_path / "doomed"
+    doomed.mkdir()
+    real = corruption._chain_image
+
+    def chain_image(job, **kwargs):
+        # the first image a child takes fails in every process
+        if os.getpid() != parent and not any(doomed.iterdir()):
+            (doomed / job[1]).touch()
+        _wait_for(lambda: any(doomed.iterdir()))
+        if (doomed / job[1]).exists():
+            raise OSError(f"disk full at {job[1]}")
+        return real(job, **kwargs)
+    monkeypatch.setattr(corruption, "_chain_image", chain_image)
+    forks = _workers(monkeypatch, 2)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full at"):
+        precompute_dataset(src, out, _schedule(n=12), seed=0)
+    assert len(forks) == 1
+    _no_child_left()
+    [failed] = [p.name for p in doomed.iterdir()]
+    before = names[:names.index(failed)]
+    assert sorted(p.name for p in out.iterdir()) == [
+        n.replace(".pgm", "_chain.adet") for n in before]
+
+
+def test_the_parent_runs_every_image_it_can_claim(tmp_path, monkeypatch):
+    src = tmp_path / "in"
+    src.mkdir()
+    for i in range(6):
+        _write_pgm(src / f"{i}.pgm", 80 + i)
+    parent = os.getpid()
+    log = tmp_path / "log"
+    slow = tmp_path / "slow"
+    real = corruption._chain_image
+
+    def chain_image(job, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{job[0]} {os.getpid()}\n")
+        if os.getpid() != parent and not slow.exists():
+            slow.touch()  # the child's first image takes a second
+            time.sleep(1.0)
+        _wait_for(slow.exists)
+        return real(job, **kwargs)
+    monkeypatch.setattr(corruption, "_chain_image", chain_image)
+    _workers(monkeypatch, 2)
+    report = precompute_dataset(src, tmp_path / "out", _schedule(n=12),
+                                seed=0)
+    assert len(report["written"]) == 6
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(i) for i, _ in runs) == list(range(6))  # each once
+    assert len([pid for _, pid in runs if int(pid) != parent]) == 1
