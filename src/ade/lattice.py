@@ -22,6 +22,14 @@ exactly and x * 1.0 = x, so `collide` forms (w u) omega once per weight
 class (rest, axes, diagonals), not once per direction: the loop's
 roundings in its order, as IEEE addition commutes. A
 field of +0 and -0 takes the loop, where F_k is 1.0 too; the bits agree.
+
+Every buffer the step stores into is placed so that the first node it
+stores starts a 64-byte cache line (see `LatticeState` for the rule and
+its limit). Left to the allocator, a buffer's offset within its line
+depends on what the process allocated and freed before, so whether vector
+stores straddle two lines changes from one command to the next, and the
+speed of the step on grids that fit in cache with it. Placement
+changes no arithmetic and no order, so no bit of any output depends on it.
 """
 
 from __future__ import annotations
@@ -133,6 +141,16 @@ def equilibrium(u: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return out
 
 
+def _aligned(shape: tuple, dtype, first: int = 0) -> np.ndarray:
+    """Zeroed C-order array of `shape` whose flat element `first` starts on
+    a 64-byte line: a view into a byte buffer 64 bytes longer."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    raw = np.zeros(size + 64, dtype=np.uint8)
+    skip = -(raw.ctypes.data + first * dtype.itemsize) % 64
+    return raw[skip:skip + size].view(dtype).reshape(shape)
+
+
 def _roll_slices(shift: int, n: int) -> list[tuple[slice, slice]]:
     """(destination, source) slice pairs that roll an axis of n by shift."""
     if shift == 0:
@@ -166,6 +184,14 @@ class LatticeState:
     velocity factor of the last field collided; it is None until the first
     field, and is then allocated once and rebuilt in place.
 
+    Each buffer is placed by `_aligned` so that the first node it stores,
+    `span.start` of the first channel (element 0 of the factor), starts a
+    64-byte line. Every later channel and direction plane starts one too
+    when a plane, H W itemsize bytes, is a multiple of 64 (as at 64 x 64
+    and 256 x 256); otherwise only the first does, as the layout is not
+    padded. `wu` and `rest` are whole planes cut to the span, so each
+    channel's row sits on the lines of `f_new`'s.
+
     At flat node index i = y nx + x, direction k pulls from i - shifts[k].
     `collide` covers `span`, [nx + 1, ny nx - nx - 1), whose every node
     pulls inside the grid: the interior and some ring nodes. `walls` holds
@@ -186,22 +212,23 @@ class LatticeState:
         self.ny = int(ny)
         self.dtype = np.dtype(dtype)
         field = tuple(channels) + (self.ny, self.nx)
-        self.f = np.zeros((9,) + field, dtype=self.dtype)
-        self.f_new = np.zeros((9,) + field, dtype=self.dtype)
-        self.u = np.empty(field, dtype=self.dtype)
-        self.vel = None
-        self.factor = None
         nodes = self.nx * self.ny
         self.span = slice(self.nx + 1, nodes - self.nx - 1)
+        first = self.span.start
+        self.f = _aligned((9,) + field, self.dtype, first)
+        self.f_new = _aligned((9,) + field, self.dtype, first)
+        self.u = _aligned(field, self.dtype, first)
+        self.vel = None
+        self.factor = None
         self.shifts = [int(CY[k]) * self.nx + int(CX[k]) for k in range(9)]
         # collide's work buffers over the span: w u in float64, and rest
         # in the state dtype, which shares the float64 one in a float64
         # state. A flow puts p_k (1 - omega) in rest once a weight class's
         # products have consumed w u; no flow puts (w u) omega there
-        span = (math.prod(channels), self.span.stop - self.span.start)
-        self.wu = np.empty(span)
-        self.rest = (self.wu if self.dtype == np.float64
-                     else np.empty(span, dtype=self.dtype))
+        planes = (math.prod(channels), nodes)
+        self.wu = _aligned(planes, np.float64, first)[:, self.span]
+        self.rest = (self.wu if self.dtype == np.float64 else
+                     _aligned(planes, self.dtype, first)[:, self.span])
         ny, nx = self.ny, self.nx
         # whole sides, corners in two: numpy sums a lone node's nine values
         # pairwise, not in direction order, and a strided pair of sides
@@ -234,9 +261,9 @@ def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
     """State whose macroscopic field equals u0 ([H, W] or [C, H, W]), at
     rest equilibrium; f and f_new are (9,) + u0.shape, and u their sum."""
     u0 = np.asarray(u0)
-    if u0.ndim not in (2, 3):
-        raise ShapeMismatchError(
-            f"initial field must be [H, W] or [C, H, W], got {u0.shape}")
+    if u0.ndim not in (2, 3) or 0 in u0.shape[:-2]:
+        raise ShapeMismatchError("initial field must be [H, W] or [C, H, W] "
+                                 f"with C >= 1, got {u0.shape}")
     if not np.all(np.isfinite(u0)):
         raise NonFiniteFieldError("initial field contains NaN or Inf")
     ny, nx = u0.shape[-2:]
@@ -318,7 +345,9 @@ def collide(state: LatticeState, vel: VelocityField | None,
                 np.multiply(pulled[k], 1.0 - omega, out=out[k])
                 out[k] += rest
         return
-    state.factor = velocity_factor(*_checked(state, vel), out=state.factor)
+    if state.factor is None:
+        state.factor = _aligned((9,) + state.shape, np.float64)
+    velocity_factor(*_checked(state, vel), out=state.factor)
     factor = state.factor.reshape(9, nodes)[:, lo:hi]
     for ks in WEIGHT_CLASSES:
         # (w_k u) F_k in float64, rounded to the state dtype as `equilibrium`

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ade import lattice
+from ade.corruption import forward_chain
 from ade.errors import (DegenerateDomainError, ShapeMismatchError,
                         StabilityError, ValidationError)
 from ade.lattice import LatticeState, VelocityField
 from ade.rng import CounterRng
+from ade.schedule import DiffusionSchedule, sigma_to_fo
 from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
 
 import lattice_reference
@@ -95,6 +98,14 @@ def test_init_rejects_degenerate_grids():
         lattice.init_from_image(np.zeros((2, 4)))
     with pytest.raises(DegenerateDomainError):
         LatticeState(8, 2)
+
+
+def test_init_rejects_an_empty_channel_axis():
+    with pytest.raises(ShapeMismatchError, match="C >= 1"):
+        lattice.init_from_image(np.zeros((0, 8, 8)))
+    sch = DiffusionSchedule.from_levels([sigma_to_fo(1.0, 8)], 8.0)
+    with pytest.raises(ShapeMismatchError):
+        forward_chain(np.zeros((0, 8, 8)), sch, seed=0)
 
 
 def test_float32_state_keeps_requested_dtype():
@@ -440,3 +451,69 @@ def test_stream_equals_roll_in_every_direction():
         assert np.array_equal(st.f_new[k][INNER], expect[INNER]), k
         back = pulled[lattice.OPPOSITE[k]]
         assert np.array_equal(st.f_new[k][:, ring], back[:, ring]), k
+
+
+def _line_offsets(rows, first, plane):
+    """Offsets mod 64 of element `first` of each row of `rows`, or of the
+    first row only when a plane of `plane` elements is not a whole number
+    of 64-byte lines."""
+    n = rows.shape[0] if plane * rows.itemsize % 64 == 0 else 1
+    return {(rows.ctypes.data + first * rows.itemsize
+             + i * rows.strides[0]) % 64 for i in range(n)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 256, 256), (3, 64, 64), (2, 37, 53)])
+def test_every_store_starts_on_a_cache_line(shape, dtype):
+    _, h, w = shape
+    plane = h * w
+    st = lattice.init_from_image(CounterRng(27, 0).uniforms(
+        math.prod(shape)).reshape(shape), dtype=dtype)
+    lo = st.span.start
+
+    def starts():
+        return (_line_offsets(st.f.reshape(-1, plane), lo, plane)
+                | _line_offsets(st.f_new.reshape(-1, plane), lo, plane)
+                | _line_offsets(st.u.reshape(-1, plane), lo, plane)
+                | _line_offsets(st.wu, 0, plane)
+                | _line_offsets(st.rest, 0, plane))
+
+    assert starts() == {0}
+    lattice.solver_step(st, _random_provider((h, w)), 0.8, 0)
+    lattice.solver_step(st, _random_provider((h, w)), 0.8, 1)  # a flow
+    assert starts() == {0}  # after two `stream` swaps
+    lattice.stream(st)
+    assert starts() == {0}
+    assert _line_offsets(st.factor.reshape(9, plane), 0, plane) == {0}
+
+
+def _placed_at(offset):
+    """`lattice._aligned`, but with flat element `first` at `offset` mod
+    64 bytes."""
+    def place(shape, dtype, first=0):
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        raw = np.zeros(size + 64, dtype=np.uint8)
+        skip = (offset - raw.ctypes.data - first * dtype.itemsize) % 64
+        return raw[skip:skip + size].view(dtype).reshape(shape)
+    return place
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("peclet", [0.0, 0.1])
+def test_alignment_changes_no_byte(monkeypatch, peclet, dtype):
+    # a leading zero-step level, and odd planes, so that later channels
+    # and directions sit at other offsets than the first
+    sch = DiffusionSchedule.from_levels(
+        [0.0] + [sigma_to_fo(s, 21) for s in (0.7, 1.5)], 21.0,
+        peclet=peclet)
+    u0 = CounterRng(28, 0).uniforms(3 * 21 * 21).reshape(3, 21, 21)
+    chains = {}
+    for offset in range(0, 64, 8):
+        monkeypatch.setattr(lattice, "_aligned", _placed_at(offset))
+        st = lattice.init_from_image(u0, dtype=dtype)
+        assert st.f.ctypes.data % 64 == (offset - st.span.start
+                                         * st.f.itemsize) % 64
+        chains[offset] = forward_chain(u0, sch, 5, dtype=dtype).snapshots
+    assert len({c.tobytes() for c in chains.values()}) == 1
+    assert not np.array_equal(chains[0][1], chains[0][-1])
