@@ -30,9 +30,7 @@ from .lattice import (
     alpha_from_tau,
     apply_bounce_back,
     collide,
-    equilibrium,
     init_from_image,
-    macro_update,
     solver_step,
     stream,
     tau_from_alpha,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EngineError, ShapeMismatchError, ValidationError
 from .lattice import init_from_image, solver_step
-from .rng import CounterRng, derive_seed
+from .rng import CounterRng, _cpus, derive_seed
 from .schedule import DiffusionSchedule
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
 from . import io
@@ -184,15 +184,6 @@ def regression_loss(delta_pred: np.ndarray,
     diff = (delta_pred - delta_target).ravel()
     # np.sum, not BLAS dot: result must not depend on thread count
     return float(np.sum(diff * diff))
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _fork_width(parts: int) -> int:

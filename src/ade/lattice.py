@@ -35,7 +35,6 @@ changes no arithmetic and no order, so no bit of any output depends on it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,10 +55,6 @@ W = np.array([4 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9,
 OPPOSITE = np.array([0, 3, 4, 1, 2, 7, 8, 5, 6])
 # directions sharing one weight, contiguous in k: rest, axes, diagonals
 WEIGHT_CLASSES = (slice(0, 1), slice(1, 5), slice(5, 9))
-
-# exact values for rational-arithmetic identity checks
-W_EXACT = (Fraction(4, 9),) + (Fraction(1, 9),) * 4 + (Fraction(1, 36),) * 4
-CS2_EXACT = Fraction(1, 3)
 
 
 class VelocityField(NamedTuple):
@@ -122,22 +117,6 @@ def velocity_factor(vx: np.ndarray, vy: np.ndarray,
     pair(5, 7, np.add(vx, vy, out=a))
     pair(6, 8, np.subtract(vy, vx, out=a))
     np.subtract(1.0, vv15, out=vv15)
-    return out
-
-
-def equilibrium(u: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Second-order equilibrium populations, shape (9,) + u.shape.
-
-    f_eq_k = w_k * u * F_k with F_k from `velocity_factor`. Summing over k
-    returns u exactly in real arithmetic; in floats it stays within a few
-    ulps of u.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    factor = velocity_factor(vx, vy)
-    out = np.empty((9,) + np.broadcast(u, factor[0]).shape, dtype=np.float64)
-    for k in range(9):
-        np.multiply(W[k], u, out=out[k])
-        out[k] *= factor[k]
     return out
 
 
@@ -275,16 +254,6 @@ def init_from_image(u0: np.ndarray, dtype=np.float64) -> LatticeState:
     return state
 
 
-def macro_update(state: LatticeState,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Macroscopic field u = sum_k f_k at every node, as the last step
-    formed it: a copy of `state.u`, written into `out` if given."""
-    if out is None:
-        return state.u.copy()
-    np.copyto(out, state.u)
-    return out
-
-
 def stream(state: LatticeState) -> None:
     """Swap the population buffers, so the previous step's output is the
     `f` that `collide` (the span) and `apply_bounce_back` (the ring) pull
@@ -350,10 +319,11 @@ def collide(state: LatticeState, vel: VelocityField | None,
     velocity_factor(*_checked(state, vel), out=state.factor)
     factor = state.factor.reshape(9, nodes)[:, lo:hi]
     for ks in WEIGHT_CLASSES:
-        # (w_k u) F_k in float64, rounded to the state dtype as `equilibrium`
-        # then astype would, with w_k u formed once per weight class before
-        # rest takes its buffer; IEEE addition commutes, so adding p_k (1 -
-        # omega) last rounds exactly like (1 - omega) p + omega f_eq
+        # (w_k u) F_k in float64, rounded to the state dtype as a float64
+        # equilibrium then astype would, with w_k u formed once per weight
+        # class before rest takes its buffer; IEEE addition commutes, so
+        # adding p_k (1 - omega) last rounds exactly like (1 - omega) p +
+        # omega f_eq
         np.multiply(W[ks.start], u, out=wu, dtype=np.float64)
         for k in range(ks.start, ks.stop):
             np.multiply(wu, factor[k], out=out[k])

@@ -9,27 +9,21 @@ walk, a slerp of two seeds' draws for an interpolated one. The walk returns
 only its result; each state, the prior first, goes to an optional sink, so
 a caller keeps the trajectory by keeping what the sink receives, the way
 `ade reverse --record` streams it to disk.
-The noise is most of a walk's cost. Where a `CounterRng` walk's field is
-large and the process may use a second CPU, one forked helper process
-computes the second half of each step's draw into shared memory while the
-walk computes the first; a counter-based draw has the same bits wherever
-its pairs are computed, so the walk's bytes do not depend on the helper,
-which lives for one walk.
+The noise is most of a walk's cost. A `CounterRng` computes each large
+draw in two threads where the process may use a second CPU; a
+counter-based draw has the same bits wherever its pairs are computed, so
+the walk's bytes do not depend on the split.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
-import mmap
-import os
 import time
 from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
 
-from .corruption import CorruptionChain, _fork_width
+from .corruption import CorruptionChain
 from .errors import (
     FormatError,
     PredictorTimeoutError,
@@ -109,85 +103,6 @@ def _checked_delta(delta: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return delta
 
 
-# field size from which a walk's draws are split with a helper process:
-# below it, the per-step handshake and copy cost about what half a draw
-# saves, and a small field repays the fork in no number of steps
-_SPLIT_MIN_VALUES = 2**17
-
-
-class _HalfDraws:
-    """A forked helper process that computes pairs [m//2, m) of each m-pair
-    normal draw of `rng` into shared memory, while the caller computes
-    pairs [0, m//2); see `CounterRng._pairs`.
-
-    For each draw the caller sends the draw's start word down a job pipe
-    and the helper answers one byte on a reply pipe. The helper leaves
-    only through `os._exit`, never into the caller's frames, once the job
-    pipe reads EOF: at `close`, or when the caller dies. A helper that has
-    died costs speed, never bytes: its half is then computed here.
-    """
-
-    def __init__(self, rng: CounterRng, m: int):
-        self.rng, self.m, self.h = rng, m, m // 2
-        self.shared = np.frombuffer(mmap.mmap(-1, 16 * m), dtype=np.float64)
-        job_r, self.job = os.pipe()
-        self.reply, reply_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                os.close(self.job)
-                os.close(self.reply)
-                while len(word := os.read(job_r, 8)) == 8:
-                    rng._pairs(int.from_bytes(word, "little"), m, self.h, m,
-                               self.shared)
-                    os.write(reply_w, b"\0")
-            finally:
-                os._exit(0)
-        os.close(job_r)
-        os.close(reply_w)
-        self.alive = True
-
-    def __call__(self, start: int, m: int, out: np.ndarray) -> None:
-        lo = 0
-        if self.alive and m == self.m:
-            try:
-                os.write(self.job, start.to_bytes(8, "little"))
-            except BrokenPipeError:  # the helper has died
-                self.alive = False
-            else:
-                h = lo = self.h
-                self.rng._pairs(start, m, 0, h, out)
-                if os.read(self.reply, 1):
-                    out[h:m] = self.shared[h:m]
-                    out[m + h:] = self.shared[m + h:]
-                    return
-                self.alive = False  # it died before it answered
-        self.rng._pairs(start, m, lo, m, out)
-
-    def close(self) -> None:
-        os.close(self.job)
-        os.close(self.reply)
-        os.waitpid(self.pid, 0)
-
-
-@contextlib.contextmanager
-def _split_draws(rng, shape: tuple[int, ...]):
-    """Within the block, a `CounterRng` draws each normal field of `shape`
-    with a `_HalfDraws` helper, where the field holds at least
-    `_SPLIT_MIN_VALUES` values and the process may fork onto two CPUs."""
-    size = math.prod(shape)
-    if (not isinstance(rng, CounterRng) or size == 0
-            or size < _SPLIT_MIN_VALUES or _fork_width(2) < 2):
-        yield
-        return
-    rng._split = helper = _HalfDraws(rng, (size + 1) // 2)
-    try:
-        yield
-    finally:
-        del rng._split
-        helper.close()
-
-
 def sample(prior: np.ndarray, predictor: Predictor, steps: int,
            sigma_sample: float, rng: CounterRng,
            sink: Callable[[np.ndarray], object] | None = None) -> np.ndarray:
@@ -201,10 +116,9 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     prior first, to `sink`, so a caller can stream the trajectory to
     disk. No state is written to after it is handed on, so a sink that
     keeps the states it receives holds the whole trajectory. Arithmetic is
-    float64. A `CounterRng` walk of a large field on two or more CPUs draws
-    each noise field in two halves, one in a forked helper process that
-    ends with the walk; the draws, and so the states, are the same bits
-    either way.
+    float64. A `CounterRng` draws a large noise field in two threads on two
+    or more CPUs (see `CounterRng.normals`); the draws, and so the states,
+    are the same bits either way.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -214,16 +128,15 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     u = np.asarray(prior, dtype=np.float64)
     sink = sink or (lambda state: None)
     sink(u)
-    with _split_draws(rng, u.shape):
-        for k in range(steps, 0, -1):
-            # u_hat = u + sigma * z, then u = u_hat + delta, formed in the
-            # fresh noise buffer: the same bits, since IEEE + and * commute
-            u_hat = rng.normal_field(u.shape)
-            u_hat *= sigma_sample
-            u_hat += u
-            u_hat += _checked_delta(predictor.predict(u_hat, k), u.shape)
-            u = u_hat
-            sink(u)
+    for k in range(steps, 0, -1):
+        # u_hat = u + sigma * z, then u = u_hat + delta, formed in the
+        # fresh noise buffer: the same bits, since IEEE + and * commute
+        u_hat = rng.normal_field(u.shape)
+        u_hat *= sigma_sample
+        u_hat += u
+        u_hat += _checked_delta(predictor.predict(u_hat, k), u.shape)
+        u = u_hat
+        sink(u)
     return u
 
 

@@ -11,8 +11,7 @@ walk, the snapshot order and the velocity fields of the engine.
 
 import numpy as np
 
-from ade.lattice import (VelocityField, init_from_image, macro_update,
-                         solver_step)
+from ade.lattice import VelocityField, init_from_image, solver_step
 from ade.turbulence import TurbulenceGenerator, TurbulenceSpec
 
 
@@ -44,7 +43,7 @@ def forward_chain(u0, schedule, seed, dtype=np.float64):
     for g in range(total):
         solver_step(state, provider, float(taus[g]), g)
         if b <= k_chain and boundaries[b] == g + 1:
-            current = macro_update(state)
+            current = state.u.copy()
             while b <= k_chain and boundaries[b] == g + 1:
                 snaps[b] = current
                 b += 1

@@ -806,13 +806,14 @@ def test_reverse_needs_a_positive_timeout(workdir, capsys, timeout):
     assert not (workdir / "ext").exists()
 
 
-# runs the CLI with two chain processes (the command and one child) and the
-# reverse helper process, even on one CPU and for a small walk
+# runs the CLI with two chain processes (the command and one child) and
+# every normal draw split across two threads, even on one CPU and for a
+# small draw
 _FORKING_ADE = (
     "import sys\n"
-    "from ade import cli, corruption, reverse\n"
-    "corruption._cpus = lambda: 2\n"
-    "reverse._SPLIT_MIN_VALUES = 0\n"
+    "from ade import cli, corruption, rng\n"
+    "corruption._cpus = rng._cpus = lambda: 2\n"
+    "rng._SPLIT_MIN_VALUES = 0\n"
     "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
@@ -886,12 +887,3 @@ def test_chain_forks_its_workers_without_a_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("written=2 errors=0 ")
     assert proc.stdout.splitlines()[-1] == "[]"
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
-def test_the_reverse_helper_dies_with_a_killed_parent(workdir):
-    _reverse_chain(workdir / "chain.adet", np.float64, shape=(3, 1, 256, 256))
-    asked = workdir / "ext" / "step_2_input.adet"
-    _kill_mid_run(["reverse", "--chain", "chain.adet", "--out", "r",
-                   "--predictor", "extern:ext", "--timeout", "60"],
-                  workdir, ready=asked.exists, children=1)

@@ -1,12 +1,12 @@
 import os
-import signal
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from ade import corruption, io, reverse
+from ade import io
+from ade import rng as ade_rng
 from ade.corruption import CorruptionChain, NoiseParams, forward_chain
 from ade.errors import (PredictorTimeoutError, ShapeMismatchError,
                         ValidationError)
@@ -297,25 +297,22 @@ def test_extern_predictor_needs_a_positive_wait(tmp_path, name, value):
     assert not (tmp_path / "ext").exists()
 
 
-def _helper(monkeypatch, on):
-    """Force the helper process on (whatever the CPU count) or off; return
-    the list of helpers the walks start."""
-    monkeypatch.setattr(reverse, "_SPLIT_MIN_VALUES", 0 if on else 1 << 62)
+_REAL_SPLIT = CounterRng._split
+
+
+def _split(monkeypatch, on):
+    """Force the two-thread split of each normal draw on (whatever the CPU
+    count) or off; return the list of the pair counts of the draws split."""
+    monkeypatch.setattr(ade_rng, "_SPLIT_MIN_VALUES", 0 if on else 1 << 62)
     if on:
-        monkeypatch.setattr(corruption, "_cpus", lambda: 2)
-    started = []
-    real = reverse._HalfDraws.__init__
+        monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
+    split = []
 
-    def spy(helper, *args):
-        real(helper, *args)
-        started.append(helper)
-    monkeypatch.setattr(reverse._HalfDraws, "__init__", spy)
-    return started
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    def spy(rng, start, m, out):
+        split.append(m)
+        _REAL_SPLIT(rng, start, m, out)
+    monkeypatch.setattr(CounterRng, "_split", spy)
+    return split
 
 
 def _odd_chain(shape, steps=5, seed=40):
@@ -329,25 +326,28 @@ def _odd_chain(shape, steps=5, seed=40):
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "zero"])
 def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
                                             oracle):
+    # the helper: the second thread of each split draw
     chain = _odd_chain(shape)
     pred = OraclePredictor(chain) if oracle else ZeroPredictor()
+    m = (int(np.prod(shape)) + 1) // 2
     runs = []
     for on in (False, True):
-        started = _helper(monkeypatch, on)
+        threads = threading.active_count()
+        split = _split(monkeypatch, on)
         rng, states = CounterRng(12, 0, position=3), []
         out = sample(chain.prior, pred, chain.chain_length, sigma, rng,
                      sink=states.append)
-        assert len(started) == on
+        assert split == [m] * chain.chain_length * on
         runs.append((np.stack(states).tobytes(), out.tobytes(),
                      rng.position))
-        _no_child_left()
+        assert threading.active_count() == threads  # each draw joined
     assert runs[1] == runs[0]
-    assert rng._split is None  # the walk detached its helper
 
 
 def test_a_failed_walk_leaves_no_helper(monkeypatch):
     chain = _odd_chain((2, 9, 9))
-    started = _helper(monkeypatch, True)
+    threads = threading.active_count()
+    split = _split(monkeypatch, True)
 
     class WrongAtStep3(OraclePredictor):
         def predict(self, u_hat, k):
@@ -355,63 +355,66 @@ def test_a_failed_walk_leaves_no_helper(monkeypatch):
 
     with pytest.raises(ShapeMismatchError):
         sample(chain.prior, WrongAtStep3(chain), 5, 0.008, CounterRng(1, 0))
-    assert len(started) == 1
-    _no_child_left()
+    assert split == [81] * 3  # steps 5, 4 and 3 drew their noise
+    assert threading.active_count() == threads
 
 
-def _wait_dead(pid):
-    # until the helper has died, leaving it a zombie for `close` to reap
-    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
+    threads = threading.active_count()
+    split = _split(monkeypatch, True)
+    real = CounterRng._pairs
+
+    def pairs(rng, start, m, lo, hi, out, scratch=None):
+        if lo > 0:
+            raise FloatingPointError("in the second half")
+        real(rng, start, m, lo, hi, out, scratch)
+    monkeypatch.setattr(CounterRng, "_pairs", pairs)
+    rng = CounterRng(3, 0)
+    with pytest.raises(FloatingPointError, match="in the second half"):
+        rng.normals(1001)
+    assert split == [501]
+    assert rng.position == 0  # a failed draw consumes no word
+    assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("when", ["between draws", "during a draw"])
-def test_a_killed_helper_costs_speed_not_bytes(monkeypatch, when):
+def test_a_split_walk_forks_no_process(monkeypatch):
     chain = _odd_chain((3, 11, 13), steps=6)
-    _helper(monkeypatch, False)
+    _split(monkeypatch, False)
     plain = sample(chain.prior, _HalfOracle(chain), 6, 0.008,
                    CounterRng(2, 0))
-    started = _helper(monkeypatch, True)
+    split = _split(monkeypatch, True)
+
+    def fork():
+        raise AssertionError("the walk forked")
+    monkeypatch.setattr(os, "fork", fork)
     rng = CounterRng(2, 0)
-
-    def kill(pid):
-        os.kill(pid, signal.SIGKILL)
-        _wait_dead(pid)
-
-    class KillAtStep4(_HalfOracle):
-        def predict(self, u_hat, k):
-            pid = started[0].pid
-            if k == 4 and when == "between draws":  # the job finds no reader
-                kill(pid)
-            elif k == 4:  # stopped before its next job, killed once it is sent
-                os.kill(pid, signal.SIGSTOP)
-                real = rng._pairs
-
-                def pairs(*args):
-                    del rng._pairs
-                    kill(pid)
-                    real(*args)
-                rng._pairs = pairs
-            return super().predict(u_hat, k)
-
-    out = sample(chain.prior, KillAtStep4(chain), 6, 0.008, rng)
+    out = sample(chain.prior, _HalfOracle(chain), 6, 0.008, rng)
     assert out.tobytes() == plain.tobytes()
+    assert split == [215] * 6
     assert rng.position == 6 * 430  # six draws of 215 pairs
-    assert not started[0].alive
-    _no_child_left()
 
 
 def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch):
+    # beside another thread, draws now split, with the same bytes; on one
+    # CPU no thread starts
     chain = _odd_chain((1, 6, 6))
-    started = _helper(monkeypatch, True)
+    _split(monkeypatch, False)
+    plain = sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
+    split = _split(monkeypatch, True)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30.0,))
     other.start()
     try:
-        sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
+        out = sample(chain.prior, ZeroPredictor(), 5, 0.008,
+                     CounterRng(1, 0))
     finally:
         release.set()
         other.join(30.0)
     assert not other.is_alive()
-    monkeypatch.setattr(corruption, "_cpus", lambda: 1)
-    sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
-    assert started == []
+    assert out.tobytes() == plain.tobytes()
+    assert split == [18] * 5
+    monkeypatch.setattr(ade_rng, "_cpus", lambda: 1)
+    monkeypatch.setattr(threading, "Thread", None)  # starting one fails
+    out = sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
+    assert out.tobytes() == plain.tobytes()
+    assert split == [18] * 5

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from ade import rng as ade_rng
 from ade.rng import CounterRng, derive_seed
 
 
@@ -123,9 +127,41 @@ def test_every_cut_of_a_draw_has_the_bits_of_the_whole(n, position):
     m = (n + 1) // 2
     whole = _formula_normals(5, 1, position, n)
     r = CounterRng(5, 1)
+    scratch = ade_rng._scratch(m + 3)  # reused, and longer than any range
     for lo in _cuts(m):
         out = np.full(2 * m, np.nan)
-        r._pairs(position, m, lo, m, out)
+        r._pairs(position, m, lo, m, out, scratch)
         r._pairs(position, m, 0, lo, out)
         assert out[:n].tobytes() == whole.tobytes(), lo
     assert r.position == 0  # _pairs reads no position and moves none
+
+
+def test_threads_drawing_from_their_own_rngs_get_the_bits_of_one_thread(
+        monkeypatch):
+    # every rng keeps its own scratch for both halves of its split draws
+    sizes = [1001, 2, 4096, 3, 777]
+    expect = []
+    for seed in range(6):
+        r = CounterRng(seed, 0)
+        expect.append([r.normals(n).tobytes() for n in sizes * 4])
+    monkeypatch.setattr(ade_rng, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
+    got = [[] for _ in expect]
+
+    def draw(seed):
+        r = CounterRng(seed, 0)
+        got[seed] = [r.normals(n).tobytes() for n in sizes * 4]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,))
+                   for seed in range(len(expect))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expect
