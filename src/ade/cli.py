@@ -5,10 +5,12 @@ function that does its work. The table drives the flags, the layering
 (defaults, then the `ADE_CONFIG` file, then `--config`, then flags) and the
 manifest written into `--out`: `command`, every resolved param that is not
 None, then the input and output sha256 lines, so a manifest replays through
-`--config`. `--out`, `--config`, `--plot` and `--record` only choose where
-and which extra files to write, so they stay out of it. Params are resolved
-and checked before `--out` is created, and a failed run removes the
-`--out` directories it created while they are still empty.
+`--config`. Each sha256 is of the bytes the command read or wrote, hashed
+from those bytes in hand: no file is read back to be hashed. `--out`,
+`--config`, `--plot` and `--record` only choose where and which extra
+files to write, so they stay out of it. Params are resolved and checked
+before `--out` is created, and a failed run removes the `--out`
+directories it created while they are still empty.
 
 Usage errors exit with 2 (argparse); engine and I/O failures print a single
 `ade: error: <kind>: <message>` line on stderr and exit 1.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -69,10 +72,6 @@ def command(name, *spec, **kw):
         COMMANDS[name] = Command(run, *spec, **kw)
         return run
     return register
-
-
-def _outputs(out: Path, *names: str) -> dict[str, str]:
-    return {f"output.{n}": io.file_sha256(out / n) for n in names}
 
 
 def _check_bounds(p: dict) -> None:
@@ -137,10 +136,10 @@ def cmd_gen_velocity(p, args, out):
     gen = TurbulenceGenerator(_turbulence(p, size), p["seed"])
     shape = (steps, 2, size, size)
     peaks = []  # the largest speed of each step
-    with io.tensor_writer(out / "velocity.adet", shape) as fields:
+    with io.tensor_writer(out / "velocity.adet", shape) as written:
         for t in range(steps):
             vel = gen.generate(t, p["rms"])
-            fields.append(np.stack(vel))
+            written.append(np.stack(vel))
             peaks.append(np.sqrt(vel.vx ** 2 + vel.vy ** 2).max())
     if args.plot:  # from the written fields, one step at a time
         with io.open_tensor(out / "velocity.adet") as fields:
@@ -149,14 +148,15 @@ def cmd_gen_velocity(p, args, out):
                                  np.sqrt(vx ** 2 + vy ** 2))
     print(f"velocity.adet shape={shape} "
           f"max_speed={float(np.max(peaks))!r}")
-    return _outputs(out, "velocity.adet")
+    return {"output.velocity.adet": written.hexdigest()}
 
 
 @command("corrupt", "corrupt one image into a chain", SCHEDULE + TURBULENCE + [
     Param("in_path", str, REQUIRED, "PGM/PPM image", flag="--in"), SEED,
     PRECISION], out=True, switches=("plot",))
 def cmd_corrupt(p, args, out):
-    stack, _ = io.read_image(p["in_path"])
+    blob = Path(p["in_path"]).read_bytes()  # one read, parsed and hashed
+    stack, _ = io.parse_image(blob)
     schedule = _make_schedule(p, stack.shape[2])
     shape = (schedule.chain_length + 1,) + stack.shape
     dtype = _DTYPES[p["precision"]]
@@ -169,8 +169,8 @@ def cmd_corrupt(p, args, out):
                 io.write_image(out / f"snapshot_{k}.pgm", snap)
     print(f"chain.adet shape={shape} "
           f"lattice_steps={schedule.lattice_steps}")
-    return {"input_sha256": io.file_sha256(p["in_path"]),
-            **_outputs(out, "chain.adet")}
+    return {"input_sha256": hashlib.sha256(blob).hexdigest(),
+            "output.chain.adet": chain.hexdigest()}
 
 
 @command("chain", "corrupt a directory of images", SCHEDULE + TURBULENCE + [
@@ -216,18 +216,18 @@ def cmd_reverse(p, args, out):
                                                   timeout=p["timeout"]))
         walk = (chain.prior, predictor, chain.chain_length, p["sigma_s"],
                 CounterRng(p["seed"], 0))
-        if args.record:  # float64, like the walk
-            with io.tensor_writer(out / "trajectory.adet",
-                                  snaps.shape) as trajectory:
+        if args.record:  # float64, like the walk; not in the manifest
+            with io.tensor_writer(out / "trajectory.adet", snaps.shape,
+                                  hashed=False) as trajectory:
                 recon = reverse.sample(*walk, sink=trajectory.append)
         else:
             recon = reverse.sample(*walk)
         clean = snaps[0]
-    io.write_tensor(out / "recon.adet", recon)
+    recon_sha256 = io.write_tensor(out / "recon.adet", recon)
     if args.plot:
         io.write_image(out / "recon.pgm", recon)
     print(f"max_abs_error={float(np.abs(recon - clean).max())!r}")
-    return _outputs(out, "recon.adet")
+    return {"output.recon.adet": recon_sha256}
 
 
 @command("spectrum", "radial energy spectrum and slope", [
@@ -265,12 +265,12 @@ def cmd_spectrum(p, args, out):
     rows = ["# m kappa energy count"] + [
         f"{m} {kappa!r} {energy!r} {count}" for m, kappa, energy, count in
         zip(profile.k_index, profile.kappa, profile.energy, profile.counts)]
-    io.atomic_write_bytes(out / "spectrum.txt",
-                          ("\n".join(rows) + "\n").encode())
+    spectrum_sha256 = io.atomic_write_bytes(
+        out / "spectrum.txt", ("\n".join(rows) + "\n").encode())
     if args.plot:
         f = np.fft.fftshift(np.abs(np.fft.fft2(field)))
         io.write_heatmap(out / "spectrum.pgm", np.log1p(f))
-    return _outputs(out, "spectrum.txt")
+    return {"output.spectrum.txt": spectrum_sha256}
 
 
 @command("audit", "mass-conservation report for a chain", [

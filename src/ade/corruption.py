@@ -281,8 +281,9 @@ def _chain_image(job: tuple[int, str], input_dir: Path, stage: Path,
                  dtype) -> tuple[str, str | None, str]:
     """Chain image `job = (index, name)` into the file `stage/<name>`.
 
-    Returns (name, chain file name, sha256 of the staged file), or (name,
-    None, message) for an image that is unreadable or not of ref_shape.
+    Returns (name, chain file name, sha256 of the staged file as its
+    writer hashed it), or (name, None, message) for an image that is
+    unreadable or not of ref_shape.
     """
     index, name = job
     try:
@@ -296,7 +297,7 @@ def _chain_image(job: tuple[int, str], input_dir: Path, stage: Path,
                           dtype) as chain:
         forward_chain(stack, schedule, derive_seed(seed, index), turbulence,
                       dtype, sink=chain.append)
-    return name, Path(name).stem + "_chain.adet", io.file_sha256(staged)
+    return name, Path(name).stem + "_chain.adet", chain.hexdigest()
 
 
 def precompute_dataset(input_dir: str | Path, out_dir: str | Path,

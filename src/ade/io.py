@@ -14,6 +14,13 @@ Large tensors need not be held whole. `open_tensor` checks the header as
 `read_tensor` does and then reads single entries along axis 0 by offset;
 `tensor_writer` writes the header up front and appends one entry at a
 time, under the same temp file and os.replace contract.
+
+The writers hash the bytes as they write them: `atomic_write_bytes` and
+`write_tensor` return the hex sha256 of the file they made, and a
+`tensor_writer`'s `hexdigest()` is its file's once the block ends.
+`parse_image` reads an image from bytes in hand, so a caller can hash the
+same bytes it parsed. No artifact is read back to be hashed; `file_sha256`
+is the independent re-read.
 """
 
 from __future__ import annotations
@@ -52,15 +59,20 @@ def _atomic_file(path: str | Path):
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes | np.ndarray,
-                       header: bytes = b"") -> None:
-    """Write header, then payload, to path via a temp file and os.replace.
+                       header: bytes = b"") -> str:
+    """Write header, then payload, to path via a temp file and os.replace;
+    return the hex sha256 of header + payload, the file's bytes.
 
     The payload may be any C-contiguous buffer whose len() is its byte
-    count (bytes, or a flat uint8 array), so it is written without a copy.
+    count (bytes, or a flat uint8 array), so it is written and hashed
+    without a copy.
     """
+    digest = hashlib.sha256(header)
+    digest.update(payload)
     with _atomic_file(path) as f:
         f.write(header)
         f.write(payload)
+    return digest.hexdigest()
 
 
 def _tensor_header(shape: tuple[int, ...], dtype) -> tuple[bytes, np.dtype]:
@@ -75,19 +87,24 @@ def _tensor_header(shape: tuple[int, ...], dtype) -> tuple[bytes, np.dtype]:
     return header + struct.pack(f"<{len(shape)}Q", *shape), _DTYPE_CODES[code]
 
 
-def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Serialize a float32/float64 array; other dtypes are rejected."""
+def write_tensor(path: str | Path, array: np.ndarray) -> str:
+    """Serialize a float32/float64 array, other dtypes being rejected;
+    return the hex sha256 of the file written."""
     array = np.asarray(array)
     header, dtype = _tensor_header(array.shape, array.dtype)
     data = np.ascontiguousarray(array, dtype=dtype)
-    atomic_write_bytes(path, data.reshape(-1).view(np.uint8), header)
+    return atomic_write_bytes(path, data.reshape(-1).view(np.uint8), header)
 
 
 class TensorWriter:
-    """Appends the entries of a tensor file whose header is written."""
+    """Writes a tensor file's header, then appends its entries; a hashed
+    writer hashes each byte it writes."""
 
-    def __init__(self, f, shape: tuple[int, ...], dtype: np.dtype):
+    def __init__(self, f, shape: tuple[int, ...], dtype: np.dtype,
+                 header: bytes, hashed: bool):
+        f.write(header)
         self._file = f
+        self._digest = hashlib.sha256(header) if hashed else None
         self.shape = shape
         self.dtype = dtype
         self.count = 0
@@ -98,26 +115,35 @@ class TensorWriter:
         if row.shape != self.shape[1:]:
             raise ShapeMismatchError(
                 f"row shape {row.shape}, expected {self.shape[1:]}")
-        data = np.ascontiguousarray(row, dtype=self.dtype)
-        self._file.write(data.reshape(-1).view(np.uint8))
+        data = np.ascontiguousarray(row, dtype=self.dtype).reshape(-1)
+        self._file.write(data.view(np.uint8))
+        if self._digest is not None:
+            self._digest.update(data)
         self.count += 1
+
+    def hexdigest(self) -> str:
+        """Hex sha256 of the header and the entries appended so far, for a
+        hashed writer."""
+        return self._digest.hexdigest()
 
 
 @contextlib.contextmanager
 def tensor_writer(path: str | Path, shape: tuple[int, ...],
-                  dtype=np.float64):
+                  dtype=np.float64, hashed: bool = True):
     """Write a tensor file one entry along axis 0 at a time.
 
     Yields a TensorWriter; the header goes out first, each `append` writes
     one entry, and the file replaces `path` when the block ends having
-    appended exactly shape[0] entries. Left early, by an error or with the
-    wrong count, it removes its temp file and raises.
+    appended exactly shape[0] entries. The writer's `hexdigest()` is then
+    the file's sha256, hashed from the bytes as they were written; with
+    `hashed=False`, for a file no manifest names, nothing is hashed. Left
+    early, by an error or with the wrong count, it removes its temp file
+    and raises.
     """
     shape = tuple(shape)
     header, dtype = _tensor_header(shape, dtype)
     with _atomic_file(path) as f:
-        f.write(header)
-        writer = TensorWriter(f, shape, dtype)
+        writer = TensorWriter(f, shape, dtype, header, hashed)
         yield writer
         if writer.count != shape[0]:
             raise ValidationError(
@@ -235,13 +261,19 @@ def _next_token(blob: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_image(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a binary PGM (P5) or PPM (P6) image.
+    """Read a binary PGM (P5) or PPM (P6) image file; see `parse_image`."""
+    return parse_image(Path(path).read_bytes())
+
+
+def parse_image(blob: bytes) -> tuple[np.ndarray, int]:
+    """Parse the bytes of a binary PGM (P5) or PPM (P6) image.
 
     Returns a [C, H, W] float64 stack with values sample/maxval in [0, 1]
-    (C = 1 for P5, 3 for P6) plus the file's maxval. 16-bit samples are
-    big-endian per the netpbm convention.
+    (C = 1 for P5, 3 for P6) plus the image's maxval. 16-bit samples are
+    big-endian per the netpbm convention. Malformed bytes raise
+    FormatError with the offset of the first problem. A caller that hashes
+    the blob it parsed names exactly the bytes it used.
     """
-    blob = Path(path).read_bytes()
     magic, pos = _next_token(blob, 0)
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"unsupported image magic {magic!r}", offset=0)

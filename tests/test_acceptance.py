@@ -279,3 +279,53 @@ def test_criterion_9_manifest_replay_is_byte_identical(tmp_path, run_ade):
     print(f"criterion 9: corrupt and reverse replays byte-identical "
           f"across thread settings, {elapsed:.2f}s")
     assert elapsed < 20.0
+
+
+def _advect_gaussian(v: float, size: int = 128, sigma0: float = 4.0):
+    """Run a Gaussian through 16/v steps of a uniform flow (v, v/2) with
+    alpha = sigma0^2 / (2 steps). Returns the Linf distance to the
+    analytic Gaussian over its peak, and the measured and analytic
+    per-axis centroid shift and variance."""
+    steps = round(16.0 / v)
+    alpha = sigma0 ** 2 / (2.0 * steps)
+    flow = lattice.VelocityField(np.full((size, size), v),
+                                 np.full((size, size), v / 2.0))
+    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+    x0, y0 = size / 2 - 8, size / 2 - 4
+    state = lattice.init_from_image(
+        np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * sigma0 ** 2)))
+    tau = lattice.tau_from_alpha(alpha)
+    for g in range(steps):
+        lattice.solver_step(state, lambda step: flow, tau, g)
+    u = state.u
+    mass = u.sum()
+    # the first step collides with no flow: steps - 1 of them advect
+    shift = np.array([v, v / 2.0]) * (steps - 1)
+    variance = sigma0 ** 2 + 2.0 * alpha * steps
+    xc, yc = x0 + shift[0], y0 + shift[1]
+    peak = sigma0 ** 2 / variance  # the mass of the start, spread wider
+    exact = peak * np.exp(-((x - xc) ** 2 + (y - yc) ** 2) / (2.0 * variance))
+    cx, cy = (u * x).sum() / mass, (u * y).sum() / mass
+    measured_shift = np.array([cx - x0, cy - y0])
+    measured_var = np.array([(u * (x - cx) ** 2).sum() / mass,
+                             (u * (y - cy) ** 2).sum() / mass])
+    linf = float(np.abs(u - exact).max()) / peak
+    return linf, measured_shift, shift, measured_var, variance
+
+
+@pytest.mark.parametrize("v", [1e-2, 1e-3])
+def test_criterion_11_uniform_flow_advects_and_diffuses_a_gaussian(v):
+    start = time.perf_counter()
+    linf, shift, want_shift, var, want_var = _advect_gaussian(v)
+    shift_err = shift / want_shift - 1.0
+    var_err = var / want_var - 1.0
+    elapsed = time.perf_counter() - start
+    print(f"criterion 11 (v={v:g}): centroid error "
+          f"{100 * shift_err[0]:+.3f}%/{100 * shift_err[1]:+.3f}% "
+          f"(limit 0.2%), variance error {100 * var_err[0]:+.2f}%/"
+          f"{100 * var_err[1]:+.2f}% (limit 1%), Linf {100 * linf:.2f}% "
+          f"of the peak (limit 2%), {elapsed:.2f}s")
+    assert np.all(np.abs(shift_err) <= 2e-3)
+    assert np.all(np.abs(var_err) <= 1e-2)
+    assert linf <= 2e-2
+    assert elapsed < 30.0

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import struct
 import subprocess
@@ -680,6 +681,71 @@ def test_a_chain_name_taken_twice_is_an_error_line(workdir, capsys):
         "chain name a_chain.adet already taken by a.PGM")
     chain = io.read_tensor(workdir / "o" / "a_chain.adet")
     assert np.array_equal(chain[0], io.read_image(workdir / "in" / "a.PGM")[0])
+
+
+def _sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_corrupt_names_the_input_bytes_it_chained(workdir, monkeypatch):
+    _field_image(workdir / "a.pgm", 51)
+    original = (workdir / "a.pgm").read_bytes()
+    argv = ["corrupt", "--in", "a.pgm", "--steps", "2", "--pe", "0.1"]
+    assert cli.main(argv + ["--out", "clean"]) == 0
+    real = cli.forward_chain
+
+    def rewrite_the_input(*args, **kwargs):
+        _field_image(workdir / "a.pgm", 52)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "forward_chain", rewrite_the_input)
+    assert cli.main(argv + ["--out", "run"]) == 0
+    assert (workdir / "a.pgm").read_bytes() != original
+    manifest = io.read_config(workdir / "run" / "manifest.txt")
+    assert manifest["input_sha256"] == hashlib.sha256(original).hexdigest()
+    for name in ("chain.adet", "manifest.txt"):
+        assert ((workdir / "run" / name).read_bytes()
+                == (workdir / "clean" / name).read_bytes())
+
+
+def test_no_command_reads_its_own_output_back_to_hash_it(workdir,
+                                                         monkeypatch):
+    # each file_sha256 call, a forked chain child's too, is logged to a
+    # file outside every --out
+    log = workdir / "hashed.log"
+    real = io.file_sha256
+
+    def logged(path):
+        with open(log, "a") as f:
+            f.write(f"{Path(path).resolve()}\n")
+        return real(path)
+    monkeypatch.setattr(io, "file_sha256", logged)
+    monkeypatch.setattr(corruption, "_cpus", lambda: 2)
+    _field_image(workdir / "a.pgm", 61)
+    (workdir / "in").mkdir()
+    for i, name in enumerate("abc"):
+        _field_image(workdir / "in" / f"{name}.pgm", 62 + i, n=12)
+    runs = {"corrupt": ["corrupt", "--in", "a.pgm", "--steps", "2",
+                        "--pe", "0.1"],
+            "chain": ["chain", "--in-dir", "in", "--steps", "2",
+                      "--pe", "0.1"],
+            "reverse": ["reverse", "--chain", "corrupt/chain.adet",
+                        "--record"],
+            "velocity": ["gen-velocity", "--size", "16", "--vel-steps", "2"],
+            "spectrum": ["spectrum", "--in", "a.pgm"]}
+    for out, argv in runs.items():
+        assert cli.main(argv + ["--out", out]) == 0
+        manifest = io.read_config(workdir / out / "manifest.txt")
+        outputs = {key.split(".", 1)[1]: sha for key, sha in manifest.items()
+                   if key.startswith("output.")}
+        assert outputs, out
+        for name, sha in outputs.items():
+            assert sha == _sha256_of(workdir / out / name), (out, name)
+    assert (io.read_config(workdir / "corrupt" / "manifest.txt")
+            ["input_sha256"] == _sha256_of(workdir / "a.pgm"))
+    hashed = log.read_text().split() if log.exists() else []
+    assert [path for path in hashed if any(
+        Path(path).is_relative_to(workdir.resolve() / out)
+        for out in runs)] == []
 
 
 def test_chain_with_piped_stdout_prints_one_summary_line(tmp_path, run_ade):

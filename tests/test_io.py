@@ -353,13 +353,36 @@ def test_a_short_row_read_is_a_format_error(tmp_path):
 def test_tensor_writer_matches_write_tensor(tmp_path, dtype):
     _, snaps = _chain_file(tmp_path)
     io.write_tensor(tmp_path / "whole.adet", snaps.astype(dtype))
+    for hashed in (True, False):
+        with io.tensor_writer(tmp_path / "rows.adet", snaps.shape,
+                              dtype, hashed) as writer:
+            for row in snaps:
+                writer.append(row)
+        assert ((tmp_path / "rows.adet").read_bytes()
+                == (tmp_path / "whole.adet").read_bytes())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def _sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_writer_returns_the_digest_of_its_file(tmp_path, dtype, rows):
+    snaps = CounterRng(13, 0).uniforms(rows * 3 * 7 * 5).reshape(
+        rows, 3, 7, 5)
     with io.tensor_writer(tmp_path / "rows.adet", snaps.shape,
                           dtype) as writer:
         for row in snaps:
             writer.append(row)
-    assert ((tmp_path / "rows.adet").read_bytes()
-            == (tmp_path / "whole.adet").read_bytes())
-    assert not list(tmp_path.glob("*.tmp"))
+    assert writer.hexdigest() == _sha256_of(tmp_path / "rows.adet")
+    whole = io.write_tensor(tmp_path / "whole.adet", snaps.astype(dtype))
+    assert whole == _sha256_of(tmp_path / "whole.adet")
+    payload = snaps.astype(dtype).reshape(-1).view(np.uint8)
+    for header in (b"", b"a header "):
+        digest = io.atomic_write_bytes(tmp_path / "raw", payload, header)
+        assert digest == _sha256_of(tmp_path / "raw")
 
 
 def test_tensor_writer_left_early_or_miscounted_leaves_nothing(tmp_path):
