@@ -155,7 +155,9 @@ class TensorReader:
 
     `reader[i]` reads entry i along axis 0 (negative i counts from the
     end) by its offset; `read()` reads the whole tensor. Both return
-    native-endian arrays of their own.
+    native-endian arrays of their own. `read_into(i, out)` reads entry i
+    into a C-contiguous native-endian array of the entry's shape and
+    dtype instead, with the checks and errors of `reader[i]`.
     """
 
     def __init__(self, f):
@@ -204,17 +206,34 @@ class TensorReader:
         return (self[i] for i in range(len(self)))
 
     def __getitem__(self, index: int) -> np.ndarray:
+        return self._read(np.empty(self.shape[1:], self._file_dtype),
+                          self._index(index))
+
+    def read_into(self, index: int, out: np.ndarray) -> np.ndarray:
+        """Entry `index` read into `out`, which is returned."""
+        index = self._index(index)
+        if (out.shape != self.shape[1:] or out.dtype != self.dtype
+                or not out.flags.c_contiguous):
+            raise ValidationError(
+                f"need a C-contiguous {self.dtype} array of shape "
+                f"{self.shape[1:]}, got {out.dtype} {out.shape}")
+        self._read(out, index)
+        if self._file_dtype != self.dtype:  # big-endian host
+            out.byteswap(inplace=True)
+        return out
+
+    def read(self) -> np.ndarray:
+        return self._read(np.empty(self.shape, self._file_dtype), 0)
+
+    def _index(self, index: int) -> int:
         n = len(self)
         if not isinstance(index, (int, np.integer)) or not -n <= index < n:
             raise ValidationError(
                 f"tensor index {index!r} out of range for {n} entries")
-        return self._read(self.shape[1:], int(index) % n)
+        return int(index) % n
 
-    def read(self) -> np.ndarray:
-        return self._read(self.shape, 0)
-
-    def _read(self, shape: tuple[int, ...], index: int) -> np.ndarray:
-        data = np.empty(shape, dtype=self._file_dtype)
+    def _read(self, data: np.ndarray, index: int) -> np.ndarray:
+        """Fill `data` with the payload bytes from entry `index` on."""
         start = self._start + index * data.nbytes
         self._file.seek(start)
         got = self._file.readinto(data.reshape(-1).view(np.uint8))

@@ -9,14 +9,19 @@ walk, a slerp of two seeds' draws for an interpolated one. The walk returns
 only its result; each state, the prior first, goes to an optional sink, so
 a caller keeps the trajectory by keeping what the sink receives, the way
 `ade reverse --record` streams it to disk.
-The noise is most of a walk's cost. A `CounterRng` computes each large
-draw in two threads where the process may use a second CPU; a
-counter-based draw has the same bits wherever its pairs are computed, so
-the walk's bytes do not depend on the split.
+The noise is most of a walk's cost. A walk drawing from a `CounterRng`
+enters its `ahead` scope: where the process may use a second CPU and a
+draw is large, one helper thread computes the next step's noise while
+the current step predicts, adds and hands its state on, and is joined
+before the walk returns or raises. On one CPU, or for small fields, no
+thread starts. A counter-based draw has the same bits wherever its pairs
+are computed, and the rng's position moves only with the draws the walk
+takes, so the walk's bytes do not depend on the helper.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from pathlib import Path
 from typing import Callable, Protocol
@@ -35,17 +40,39 @@ from . import io
 
 
 class Predictor(Protocol):
+    """The correction toward snapshot k-1 of a noised state u_hat.
+
+    The walk consumes each delta before it calls `predict` again, so a
+    predictor may return the same buffer every call.
+    """
+
     def predict(self, u_hat: np.ndarray, k: int) -> np.ndarray: ...
 
 
 class OraclePredictor:
-    """Reads the forward chain and returns the exact correction."""
+    """Reads the forward chain and returns the exact correction, in a
+    float64 buffer it owns and overwrites on each call."""
 
     def __init__(self, chain: CorruptionChain):
         self.chain = chain
+        self._delta: np.ndarray | None = None
+        self._row: np.ndarray | None = None  # a snapshot read from a file
 
     def predict(self, u_hat: np.ndarray, k: int) -> np.ndarray:
-        return self.chain.snapshots[k - 1] - u_hat
+        snaps = self.chain.snapshots
+        shape = np.shape(u_hat)
+        if self._delta is None or self._delta.shape != shape:
+            self._delta = np.empty(shape)
+        if isinstance(snaps, io.TensorReader):
+            if snaps.dtype == self._delta.dtype:
+                snap = snaps.read_into(k - 1, self._delta)
+            else:
+                if self._row is None:
+                    self._row = np.empty(snaps.shape[1:], snaps.dtype)
+                snap = snaps.read_into(k - 1, self._row)
+        else:
+            snap = snaps[k - 1]
+        return np.subtract(snap, u_hat, out=self._delta)
 
 
 class ZeroPredictor:
@@ -116,9 +143,11 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     prior first, to `sink`, so a caller can stream the trajectory to
     disk. No state is written to after it is handed on, so a sink that
     keeps the states it receives holds the whole trajectory. Arithmetic is
-    float64. A `CounterRng` draws a large noise field in two threads on two
-    or more CPUs (see `CounterRng.normals`); the draws, and so the states,
-    are the same bits either way.
+    float64. With a `CounterRng`, the walk runs in its `ahead(steps)`
+    scope: on two or more CPUs a helper thread computes each large noise
+    field a step early, and is joined before this returns or raises. The
+    draws, the states and the rng's position afterwards are the same bits
+    either way.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -128,15 +157,17 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     u = np.asarray(prior, dtype=np.float64)
     sink = sink or (lambda state: None)
     sink(u)
-    for k in range(steps, 0, -1):
-        # u_hat = u + sigma * z, then u = u_hat + delta, formed in the
-        # fresh noise buffer: the same bits, since IEEE + and * commute
-        u_hat = rng.normal_field(u.shape)
-        u_hat *= sigma_sample
-        u_hat += u
-        u_hat += _checked_delta(predictor.predict(u_hat, k), u.shape)
-        u = u_hat
-        sink(u)
+    with (rng.ahead(steps) if isinstance(rng, CounterRng)
+          else contextlib.nullcontext()):
+        for k in range(steps, 0, -1):
+            # u_hat = u + sigma * z, then u = u_hat + delta, formed in the
+            # fresh noise buffer: the same bits, since IEEE + and * commute
+            u_hat = rng.normal_field(u.shape)
+            u_hat *= sigma_sample
+            u_hat += u
+            u_hat += _checked_delta(predictor.predict(u_hat, k), u.shape)
+            u = u_hat
+            sink(u)
     return u
 
 

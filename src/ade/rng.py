@@ -8,12 +8,21 @@ draws. All integer arithmetic is uint64 with wraparound.
 The same holds inside one normal draw: each Box-Muller pair is an
 elementwise function of its two words, so any range of a draw's pairs can
 be computed apart and its bits do not depend on where the range is cut.
-`CounterRng.normals` uses that to compute half of each large draw in a
-second thread, numpy releasing the GIL in its loops.
+`CounterRng.normals` computes a draw in chunks of `_CHUNK` pairs. A large
+draw on two or more CPUs shares its chunks with a helper thread, numpy
+releasing the GIL in its loops; inside `CounterRng.ahead(draws)`, the
+scope a reverse walk enters, one helper serves the whole walk and, once
+the current draw's chunks are all claimed, goes on to the next draw of the
+same size at the next position while the caller uses the current one.
+Small draws, and every draw on one CPU, are computed by the caller alone
+and start no thread. The bits and `position` do not depend on any of it:
+the position moves only when a caller takes a draw, and a draw computed
+ahead for another position or size is discarded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 
@@ -24,9 +33,13 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 
-# draw size from which `normals` computes half of the draw in a second
-# thread: below it, starting the thread costs about what half a draw saves
+# draw size from which `normals` shares the draw with a helper thread:
+# below it, starting the thread costs about what the helper saves
 _SPLIT_MIN_VALUES = 2**17
+
+# Box-Muller pairs per chunk of a draw: a chunk's scratch, four rows of
+# words, is 512 KiB and stays in a 2 MiB L2
+_CHUNK = 2**14
 
 
 def _cpus() -> int:
@@ -52,12 +65,13 @@ def _mix(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _scratch(n: int) -> np.ndarray:
-    """Buffers for `CounterRng._pairs` of up to n pairs: a row 0..n-1 of
-    counter offsets, then three rows of words."""
-    scratch = np.empty((4, n), dtype=np.uint64)
-    scratch[0] = np.arange(n, dtype=np.uint64)
-    return scratch
+def _scratch(n: int, threads: int = 1) -> np.ndarray:
+    """Buffers for `CounterRng._pairs` of up to n pairs, one set per
+    thread, the first axis when `threads` > 1: a row 0..n-1 of counter
+    offsets, then three rows of words."""
+    scratch = np.empty((threads, 4, n), dtype=np.uint64)
+    scratch[:, 0] = np.arange(n, dtype=np.uint64)
+    return scratch[0] if threads == 1 else scratch
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -83,14 +97,12 @@ class CounterRng:
         self.seed = seed
         self.stream = stream
         self.position = position
-        # the buffers of the two threads of a split draw, made by the
+        # chunk scratch for the calling thread and the helper, made by the
         # calling thread and kept across draws: an array made or freed in
-        # the second thread would stay in a malloc arena of its own, and
-        # one made per draw costs page faults in both threads. They are
-        # one block: as two blocks the size of a 3x256x256 field, they
-        # left a walk's own field-sized arrays to be faulted in afresh
-        # each step (13,700 against 1,550 minor faults per 32-step walk)
-        self._scratch = np.stack([_scratch(0)] * 2)
+        # the helper would stay in a malloc arena of its own, and one made
+        # per draw costs page faults in both threads
+        self._scratch = _scratch(0, threads=2)
+        self._ahead: _Ahead | None = None
 
     def _hash(self, z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
         # counters i to words i, in place
@@ -151,44 +163,162 @@ class CounterRng:
 
         Consumes 2*ceil(n/2) words: the first half feed the radius, the
         second half the angle. Normal i < ceil(n/2) is the cosine of pair
-        i, the rest are the sines. A draw of at least `_SPLIT_MIN_VALUES`
-        values on two or more CPUs computes its pairs [m//2, m) in a
-        thread of its own, joined before the call returns; the bits are
-        the same either way.
+        i, the rest are the sines. The pairs are computed `_CHUNK` at a
+        time. A draw of at least `_SPLIT_MIN_VALUES` values on two or more
+        CPUs shares its chunks with a helper thread: the scope's helper
+        inside `ahead`, else one started and joined for this draw alone.
+        The bits are the same either way.
         """
         m = (n + 1) // 2
-        out = np.empty(2 * m)
         if n < _SPLIT_MIN_VALUES or _cpus() < 2:
-            self._pairs(self.position, m, 0, m, out)
+            out = np.empty(2 * m)
+            scratch = self._scratch_for(m)[0]
+            for lo in range(0, m, _CHUNK):
+                self._pairs(self.position, m, lo, min(lo + _CHUNK, m), out,
+                            scratch)
+        elif self._ahead is None:
+            with self.ahead(1):
+                return self.normals(n)
         else:
-            self._split(self.position, m, out)
+            out = self._ahead.take(self.position, m)
         self.position += 2 * m
         return out[:n]
 
-    def _split(self, start: int, m: int, out: np.ndarray) -> None:
-        """Pairs [0, m//2) of the m-pair draw at `start` here and pairs
-        [m//2, m) in a second thread, both into `out`; the thread is
-        joined, and what it raised raised here, before this returns."""
-        h = m // 2
-        if self._scratch.shape[2] < m - h:
-            self._scratch = np.stack([_scratch(m - h)] * 2)
-        (mine, theirs), failed = self._scratch, []
+    def _scratch_for(self, m: int) -> np.ndarray:
+        """Both threads' scratch, wide enough for the chunks of an m-pair
+        draw; grown by the calling thread only."""
+        if self._scratch.shape[2] < min(m, _CHUNK):
+            self._scratch = _scratch(min(m, _CHUNK), threads=2)
+        return self._scratch
 
-        def second_half():
-            try:
-                self._pairs(start, m, h, m, out, theirs)
-            except BaseException as exc:  # re-raised by the caller
-                failed.append(exc)
-
-        thread = threading.Thread(target=second_half)
-        thread.start()
+    @contextlib.contextmanager
+    def ahead(self, draws: int):
+        """A scope for a run of `draws` normal draws, such as a reverse
+        walk's: one helper thread, started at the first draw that shares
+        its chunks, computes each next draw while the caller uses the one
+        before, and never a draw past the `draws`-th. The helper is
+        stopped and joined on leaving the scope, however it is left.
+        Inside a scope already open, this adds nothing."""
+        if self._ahead is not None:
+            yield
+            return
+        self._ahead = _Ahead(self, draws)
         try:
-            self._pairs(start, m, 0, h, out, mine)
+            yield
         finally:
-            thread.join()
-        if failed:
-            raise failed[0]
+            self._ahead.close()
+            self._ahead = None
 
     def normal_field(self, shape: tuple[int, ...]) -> np.ndarray:
         n = int(np.prod(shape))
         return self.normals(n).reshape(shape)
+
+
+class _Draw:
+    """One m-pair normal draw at word `start`, in chunks of `_CHUNK` pairs:
+    `taken` chunks are claimed, `busy` of them are still being computed,
+    and `failed` holds what a chunk raised."""
+
+    def __init__(self, start: int, m: int):
+        self.start, self.m = start, m
+        self.out = np.empty(2 * m)
+        self.chunks = -(-m // _CHUNK)
+        self.taken = self.busy = 0
+        self.failed: BaseException | None = None
+
+    def discard(self) -> None:
+        # under the scope's cond: nobody claims a chunk of it any more
+        self.taken = self.chunks
+
+
+class _Ahead:
+    """The draws of one `CounterRng.ahead` scope and their helper thread.
+
+    `current` is the draw being taken, `next` the one computed ahead for
+    the next position. The helper claims chunks of `current` first, then of
+    `next`. Every field is read and written under `cond`.
+    """
+
+    def __init__(self, rng: CounterRng, draws: int):
+        self.rng = rng
+        self.left = draws
+        self.cond = threading.Condition()
+        self.current: _Draw | None = None
+        self.next: _Draw | None = None
+        self.stop = False
+        self.thread: threading.Thread | None = None
+
+    def take(self, start: int, m: int) -> np.ndarray:
+        """The m-pair draw at `start`, computed with the helper: the draw
+        computed ahead if it is that one, else a fresh one. What any of its
+        chunks raised is raised here."""
+        self.rng._scratch_for(m)
+        with self.cond:
+            draw = self.next
+            if draw is None or (draw.start, draw.m) != (start, m):
+                if draw is not None:
+                    draw.discard()
+                draw = _Draw(start, m)
+            self.current = draw
+            self.left -= 1
+            self.next = _Draw(start + 2 * m, m) if self.left > 0 else None
+            self.cond.notify_all()
+        if self.thread is None:
+            self.thread = threading.Thread(target=self._help)
+            self.thread.start()
+        self._work(draw, 0)
+        with self.cond:
+            while draw.busy:
+                self.cond.wait()
+        if draw.failed is not None:
+            raise draw.failed
+        return draw.out
+
+    def _work(self, draw: _Draw, row: int) -> None:
+        """Compute chunks of `draw` with scratch `row` until none is left
+        to claim; a chunk that raises leaves the rest unclaimed."""
+        while True:
+            with self.cond:
+                if draw.taken == draw.chunks:
+                    return
+                lo = draw.taken * _CHUNK
+                draw.taken += 1
+                draw.busy += 1
+                scratch = self.rng._scratch[row]
+            try:
+                self.rng._pairs(draw.start, draw.m, lo,
+                                min(lo + _CHUNK, draw.m), draw.out, scratch)
+            except BaseException as exc:  # re-raised by `take`
+                with self.cond:
+                    if draw.failed is None:
+                        draw.failed = exc
+                    draw.discard()
+            finally:
+                with self.cond:
+                    draw.busy -= 1
+                    self.cond.notify_all()
+
+    def _help(self) -> None:
+        while True:
+            with self.cond:
+                while not self.stop:
+                    draw = next((d for d in (self.current, self.next)
+                                 if d is not None and d.taken < d.chunks),
+                                None)
+                    if draw is not None:
+                        break
+                    self.cond.wait()
+                else:
+                    return
+            self._work(draw, 1)
+
+    def close(self) -> None:
+        """Stop the helper after its chunk in hand, and join it."""
+        with self.cond:
+            self.stop = True
+            for draw in (self.current, self.next):
+                if draw is not None:
+                    draw.discard()
+            self.cond.notify_all()
+        if self.thread is not None:
+            self.thread.join()

@@ -350,6 +350,44 @@ def test_a_short_row_read_is_a_format_error(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_read_into_fills_the_given_buffer_with_the_entry(tmp_path, dtype):
+    path, snaps = _chain_file(tmp_path, dtype)
+    with io.open_tensor(path) as reader:
+        out = np.full(snaps.shape[1:], np.nan, dtype)
+        for k in (3, 0, -1, 4):
+            assert reader.read_into(k, out) is out
+            assert out.tobytes() == reader[k].tobytes() == snaps[k].tobytes()
+        for bad in (5, -6, 1.0):
+            with pytest.raises(ValidationError, match="out of range"):
+                reader.read_into(bad, out)
+        other = np.float64 if dtype == np.float32 else np.float32
+        for wrong in (np.empty(snaps.shape[1:], other),
+                      np.empty(snaps.shape[2:], dtype),
+                      np.empty(snaps.shape[1:][::-1], dtype).T):
+            with pytest.raises(ValidationError, match="C-contiguous"):
+                reader.read_into(1, wrong)
+        assert out.tobytes() == snaps[4].tobytes()  # left as it was
+
+
+def test_read_into_a_shrunk_file_fails_at_the_offset_of_a_row_read(tmp_path):
+    snaps = CounterRng(12, 0).uniforms(4 * 64 * 64).reshape(4, 64, 64)
+    path = tmp_path / "t.adet"
+    io.write_tensor(path, snaps)
+    with io.open_tensor(path) as reader:
+        with open(path, "r+b") as f:  # the file shrinks after the header
+            f.truncate(path.stat().st_size - 8)
+        out = np.empty((64, 64))
+        assert reader.read_into(2, out).tobytes() == snaps[2].tobytes()
+        errors = []
+        for read in (lambda: reader[3], lambda: reader.read_into(3, out)):
+            with pytest.raises(FormatError) as info:
+                read()
+            errors.append((str(info.value), info.value.offset))
+        assert errors[0] == errors[1]
+        assert errors[1][1] == 37 + snaps.nbytes - 8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_tensor_writer_matches_write_tensor(tmp_path, dtype):
     _, snaps = _chain_file(tmp_path)
     io.write_tensor(tmp_path / "whole.adet", snaps.astype(dtype))

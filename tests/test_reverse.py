@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import time
 
@@ -297,21 +298,24 @@ def test_extern_predictor_needs_a_positive_wait(tmp_path, name, value):
     assert not (tmp_path / "ext").exists()
 
 
-_REAL_SPLIT = CounterRng._split
+_REAL_TAKE = ade_rng._Ahead.take
 
 
-def _split(monkeypatch, on):
-    """Force the two-thread split of each normal draw on (whatever the CPU
-    count) or off; return the list of the pair counts of the draws split."""
+def _split(monkeypatch, on, chunk=7):
+    """Force the helper thread of each normal draw on (whatever the CPU
+    count) or off, with draws cut in chunks of `chunk` pairs so that small
+    fields have many; return the list of the pair counts of the draws
+    shared with the helper."""
     monkeypatch.setattr(ade_rng, "_SPLIT_MIN_VALUES", 0 if on else 1 << 62)
+    monkeypatch.setattr(ade_rng, "_CHUNK", chunk)
     if on:
         monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
     split = []
 
-    def spy(rng, start, m, out):
+    def spy(ahead, start, m):
         split.append(m)
-        _REAL_SPLIT(rng, start, m, out)
-    monkeypatch.setattr(CounterRng, "_split", spy)
+        return _REAL_TAKE(ahead, start, m)
+    monkeypatch.setattr(ade_rng._Ahead, "take", spy)
     return split
 
 
@@ -326,7 +330,8 @@ def _odd_chain(shape, steps=5, seed=40):
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "zero"])
 def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
                                             oracle):
-    # the helper: the second thread of each split draw
+    # the helper: the walk's thread that shares each draw's chunks and
+    # computes the next draw ahead
     chain = _odd_chain(shape)
     pred = OraclePredictor(chain) if oracle else ZeroPredictor()
     m = (int(np.prod(shape)) + 1) // 2
@@ -340,7 +345,7 @@ def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
         assert split == [m] * chain.chain_length * on
         runs.append((np.stack(states).tobytes(), out.tobytes(),
                      rng.position))
-        assert threading.active_count() == threads  # each draw joined
+        assert threading.active_count() == threads  # the helper joined
     assert runs[1] == runs[0]
 
 
@@ -360,17 +365,18 @@ def test_a_failed_walk_leaves_no_helper(monkeypatch):
 
 
 def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
+    # every chunk past the first fails, whichever thread computes it
     threads = threading.active_count()
     split = _split(monkeypatch, True)
     real = CounterRng._pairs
 
     def pairs(rng, start, m, lo, hi, out, scratch=None):
         if lo > 0:
-            raise FloatingPointError("in the second half")
+            raise FloatingPointError("past the first chunk")
         real(rng, start, m, lo, hi, out, scratch)
     monkeypatch.setattr(CounterRng, "_pairs", pairs)
     rng = CounterRng(3, 0)
-    with pytest.raises(FloatingPointError, match="in the second half"):
+    with pytest.raises(FloatingPointError, match="past the first chunk"):
         rng.normals(1001)
     assert split == [501]
     assert rng.position == 0  # a failed draw consumes no word
@@ -418,3 +424,157 @@ def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch):
     out = sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
     assert out.tobytes() == plain.tobytes()
     assert split == [18] * 5
+
+
+def test_a_failed_walk_joins_its_helper_and_counts_only_the_draws_taken(
+        monkeypatch):
+    chain = _odd_chain((2, 9, 9))
+    threads = threading.active_count()
+    split = _split(monkeypatch, True)
+    during = []
+
+    def sink_failing_at_step_2(state):
+        during.append(threading.active_count())
+        if len(during) == 3:  # the prior, then steps 1 and 2
+            raise OSError("disk full")
+
+    rng = CounterRng(1, 0, position=5)
+    with pytest.raises(OSError, match="disk full"):
+        sample(chain.prior, OraclePredictor(chain), 5, 0.008, rng,
+               sink=sink_failing_at_step_2)
+    assert during[1:] == [threads + 1] * 2  # one helper for the walk
+    assert split == [81] * 2
+    assert rng.position == 5 + 2 * 162
+    assert threading.active_count() == threads
+
+    class WrongAtStep3(OraclePredictor):
+        def predict(self, u_hat, k):
+            return np.zeros((2, 2)) if k == 3 else super().predict(u_hat, k)
+
+    rng = CounterRng(1, 0)
+    with pytest.raises(ShapeMismatchError):
+        sample(chain.prior, WrongAtStep3(chain), 5, 0.008, rng)
+    assert rng.position == 3 * 162  # steps 5, 4 and 3 drew their noise
+    assert threading.active_count() == threads
+
+
+def test_the_helper_computes_no_draw_past_the_walk(monkeypatch):
+    chain = _odd_chain((3, 11, 13), steps=6)
+    split = _split(monkeypatch, True)
+    real, starts = CounterRng._pairs, set()
+
+    def pairs(rng, start, m, lo, hi, out, scratch=None):
+        starts.add(start)
+        real(rng, start, m, lo, hi, out, scratch)
+    monkeypatch.setattr(CounterRng, "_pairs", pairs)
+    rng = CounterRng(2, 0, position=11)
+    sample(chain.prior, ZeroPredictor(), 6, 0.008, rng)
+    assert split == [215] * 6
+    assert rng.position == 11 + 6 * 430
+    assert starts == {11 + 430 * i for i in range(6)}
+
+
+class _RecordedRng(CounterRng):
+    """A CounterRng that keeps a copy of each field it hands out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fields = []
+
+    def normal_field(self, shape):
+        self.fields.append(super().normal_field(shape).copy())
+        return self.fields[-1].copy()
+
+
+def test_a_draw_at_a_moved_position_discards_the_one_computed_ahead(
+        monkeypatch):
+    chain = _odd_chain((1, 33, 31))
+    split = _split(monkeypatch, True)
+    rng = _RecordedRng(4, 1)
+
+    class JumpAtStep3(ZeroPredictor):
+        def predict(self, u_hat, k):
+            if k == 3:  # after step 3's draw, before step 2's
+                rng.position = 99_999
+            return super().predict(u_hat, k)
+
+    sample(chain.prior, JumpAtStep3(), 5, 0.008, rng)
+    starts = [0, 1024, 2048, 99_999, 99_999 + 1024]
+    assert split == [512] * 5
+    for field, start in zip(rng.fields, starts, strict=True):
+        fresh = CounterRng(4, 1, position=start).normal_field((1, 33, 31))
+        assert field.tobytes() == fresh.tobytes(), start
+    assert rng.position == 99_999 + 2 * 1024
+
+
+def test_an_error_in_a_chunk_the_helper_computes_reaches_the_caller(
+        monkeypatch):
+    chain = _odd_chain((2, 9, 9))
+    threads = threading.active_count()
+    _split(monkeypatch, True)
+    real, failed = CounterRng._pairs, threading.Event()
+
+    def pairs(rng, start, m, lo, hi, out, scratch=None):
+        if start > 0 and threading.current_thread() is not \
+                threading.main_thread():
+            failed.set()
+            raise FloatingPointError("in the helper")
+        real(rng, start, m, lo, hi, out, scratch)
+    monkeypatch.setattr(CounterRng, "_pairs", pairs)
+
+    class WaitForTheHelper(ZeroPredictor):
+        def predict(self, u_hat, k):
+            assert failed.wait(30.0)  # step 4's draw failed ahead
+            return super().predict(u_hat, k)
+
+    rng = CounterRng(3, 0)
+    with pytest.raises(FloatingPointError, match="in the helper"):
+        sample(chain.prior, WaitForTheHelper(), 5, 0.008, rng)
+    assert rng.position == 162  # step 5's draw only
+    assert threading.active_count() == threads
+
+
+def test_walks_in_many_threads_keep_the_bits_of_one_thread(monkeypatch):
+    # six walks at once, each with its own helper, on a short switch
+    # interval: a chunk claimed twice or lost would change a byte
+    chain = _odd_chain((2, 9, 9))
+    _split(monkeypatch, False)
+    expect = [sample(chain.prior, _HalfOracle(chain), 5, 0.3,
+                     CounterRng(seed, 0)).tobytes() for seed in range(6)]
+    _split(monkeypatch, True, chunk=3)
+    got = [None] * len(expect)
+
+    def walk(seed):
+        got[seed] = sample(chain.prior, _HalfOracle(chain), 5, 0.3,
+                           CounterRng(seed, 0)).tobytes()
+
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walk, args=(seed,))
+                   for seed in range(len(expect))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expect
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_oracle_reuses_its_delta_buffer(tmp_path, dtype):
+    chain = CorruptionChain(_chain(16).snapshots.astype(dtype))
+    io.write_tensor(tmp_path / "chain.adet", chain.snapshots)
+    u_hat = CounterRng(5, 0).normal_field(chain.prior.shape)
+    with io.open_tensor(tmp_path / "chain.adet") as snaps:
+        for source in (chain, CorruptionChain(snaps)):
+            pred = OraclePredictor(source)
+            first = pred.predict(u_hat, 3)
+            assert first.tobytes() == (chain.snapshots[2] - u_hat).tobytes()
+            again = pred.predict(u_hat, 1)
+            assert again is first
+            assert again.tobytes() == (chain.snapshots[0] - u_hat).tobytes()

@@ -138,13 +138,15 @@ def test_every_cut_of_a_draw_has_the_bits_of_the_whole(n, position):
 
 def test_threads_drawing_from_their_own_rngs_get_the_bits_of_one_thread(
         monkeypatch):
-    # every rng keeps its own scratch for both halves of its split draws
+    # every rng keeps its own scratch for its own thread and its helper;
+    # 100-pair chunks give each larger draw several to share
     sizes = [1001, 2, 4096, 3, 777]
     expect = []
     for seed in range(6):
         r = CounterRng(seed, 0)
         expect.append([r.normals(n).tobytes() for n in sizes * 4])
     monkeypatch.setattr(ade_rng, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(ade_rng, "_CHUNK", 100)
     monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
     got = [[] for _ in expect]
 
