@@ -5,12 +5,16 @@ K + 1 macroscopic snapshots (clean field first, fully corrupted prior
 last), or hands each to a sink as it is formed, so a chain can be written
 to disk holding one snapshot. The channels of an image step as one lattice
 state: they evolve independently but share the velocity field, generated
-once per step.
+once per step. On two or more CPUs, a large image's lattice is stepped
+by the calling process and a forked partner process, half of its rows
+each, meeting at a polled barrier after every step; the bits are those
+of one process, and a partner that dies costs time, not bytes.
 A dataset's images do not depend on each other (image i has the seed
 (seed, i)), so `precompute_dataset` runs them in the calling process and
 up to one forked child per further CPU, each holding one lattice state,
 and publishes the chains in name order: the files, the report and what a
-failure leaves do not depend on the process count.
+failure leaves do not depend on the process count. Those processes fill
+the CPUs, so their chains start no partner.
 Training noise is never folded back into the chain; it is added on the fly
 when a pair is requested.
 """
@@ -26,6 +30,7 @@ import signal
 import sys
 import tempfile
 import threading
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EngineError, ShapeMismatchError, ValidationError
-from .lattice import init_from_image, solver_step
+from .lattice import (VelocityField, _aligned, apply_bounce_back, collide,
+                      fill_rest, init_from_image, solver_step, stream)
 from .rng import CounterRng, _cpus, derive_seed
 from .schedule import DiffusionSchedule
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
@@ -41,6 +47,21 @@ from . import io
 
 SIGMA_TRAIN_DEFAULT = 0.01
 TRAIN_SAMPLE_RATIO = 1.25
+
+# C H W from which a chain steps half of its lattice's rows in a forked
+# partner process: the smallest size at which the partner won at Pe 0 and
+# at Pe 0.1 in every run of bench/layers.py on two CPUs. Below it (1 x
+# 128^2 went either way, 3 x 64^2 lost) the fork, the shared pages and the
+# numpy calls, which both halves pay whole, cost what half the work saves
+_PARTNER_MIN_NODES = 3 * 96 * 96
+
+# lattice steps a partner is kept, whatever it costs, before `_Partner`
+# compares the time spent waiting for it with the time it saves
+_PARTNER_TRIAL_STEPS = 8
+
+# true while `_fork_map` runs jobs in more than one process: they fill
+# the CPUs, so no chain forks a partner
+_mapping = False
 
 
 @dataclass(frozen=True)
@@ -101,15 +122,26 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     walk overwrites once the sink returns, so a sink that keeps one must
     copy it. Without a sink, they are copied into the [K+1, C, H, W]
     snapshots of the returned chain.
+
+    A lattice of at least `_PARTNER_MIN_NODES` nodes, on two or more CPUs
+    and with no other thread running, is stepped half here and half by a
+    forked `_Partner`, outside `precompute_dataset`'s children; the
+    snapshots are the same bits, and the partner is reaped before this
+    returns or raises.
     """
     u0 = np.asarray(u0)
     if u0.ndim == 2:
         u0 = u0[None]
     # the per-step arrays first: their build peak comes before the lattice's
     taus, rms, boundaries = schedule.per_step()
-    state = init_from_image(u0, dtype=dtype)  # checks shape and values
+    split = (len(taus) > 0 and u0.size >= _PARTNER_MIN_NODES
+             and u0.shape[-2] >= 4 and not _mapping and _fork_width(2) == 2)
+    # checks shape and values; a partner sets the rows it steps
+    state = init_from_image(u0, dtype=dtype, parts=2 if split else 1,
+                            fill=not split)
     height, width = state.shape
     k_chain = schedule.chain_length
+    flows = (None,)
 
     if schedule.peclet > 0.0 and schedule.lattice_steps > 0:
         if height != width:
@@ -123,6 +155,8 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         gen = TurbulenceGenerator(turbulence, seed)
         provider = lambda step: gen.generate(  # noqa: E731
             step, float(rms[step]))
+        if split:
+            provider, flows = _shared_flows(provider, state.shape)
     else:
         provider = lambda step: None  # noqa: E731  no flow
 
@@ -135,14 +169,173 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     # each snapshot is the state's macroscopic field, which every step
     # writes. A zero-step level repeats the snapshot before it: at the
     # start that is u0 itself, which the sum over f only approximates
-    snap = state.u
-    snap[...] = u0
-    sink(snap)
-    for k in range(1, k_chain + 1):
-        for g in range(boundaries[k - 1], boundaries[k]):
-            solver_step(state, provider, float(taus[g]), g)
+    with (_Partner(state, u0, taus, flows) if split
+          else contextlib.nullcontext()) as partner:
+        snap = state.u
+        snap[...] = u0
         sink(snap)
+        for k in range(1, k_chain + 1):
+            for g in range(boundaries[k - 1], boundaries[k]):
+                if partner is None:
+                    solver_step(state, provider, float(taus[g]), g)
+                else:
+                    partner.step(provider, float(taus[g]), g)
+            sink(snap)
     return chain
+
+
+def _shared_flows(provider: Callable, shape: tuple[int, int]):
+    """(`provider` copying each field into shared memory, the fields it
+    returns): None, then the two slots; the field fetched at step g goes
+    to slot g % 2, while the steps of g read the field of slot (g - 1) % 2
+    or None."""
+    slots = _aligned((2, 2) + shape, np.float64, shared=True)
+    flows = (None,) + tuple(VelocityField(*slot) for slot in slots)
+
+    def shared(step: int) -> VelocityField | None:
+        vel = provider(step)
+        if vel is None:
+            return None
+        flow = flows[1 + step % 2]
+        for to, frm in zip(flow, vel):
+            np.copyto(to, frm)
+        return flow
+    return shared, flows
+
+
+def _elsewhere(pid: int) -> None:
+    # a child forked a moment ago may start on this process's CPU, and the
+    # load balancer may leave it there for a second or more, the two
+    # taking turns while another CPU idles. So it is moved to the other
+    # CPUs before it runs, where Linux says which CPU this one is on
+    # (field 39 of /proc/self/stat)
+    with contextlib.suppress(AttributeError, OSError, ValueError,
+                             IndexError):
+        with open("/proc/self/stat") as f:
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(pid, others)
+
+
+def _await(fd: int) -> bytes:
+    """The next byte of the non-blocking pipe `fd`, or b"" once its writer
+    is gone: polled, yielding the CPU between polls, never asleep, so no
+    step waits for a sleeping CPU to wake."""
+    while True:
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:
+            os.sched_yield()
+
+
+class _Partner:
+    """A forked process that steps part 1 of a two-part `state` while this
+    process steps part 0, one step at a time.
+
+    On entry each process sets its own part's rows to the rest equilibrium
+    of u0, and the partner sends a byte once its rows are set. `step`
+    sends the partner one byte, the index in `flows` of the field the step
+    collides with, steps part 0 here, fetches the next field and waits for
+    the partner's byte: a barrier, as the next step pulls from the rows of
+    both parts. Between steps the partner waits for its byte, so the
+    caller may read `u` whole. A partner that is gone, at any point, has
+    its rows set, and those of that step and of every later one stepped,
+    here, from u0 or from `f`, which no step writes: it costs time, not
+    bytes. So does one that is
+    let go: after `_PARTNER_TRIAL_STEPS` steps, once this process has
+    waited at the barriers longer than its own steps took, which is
+    longer than the partner's work would take it, as when either process
+    shares its CPU. The partner leaves only through `os._exit`, dies with
+    this process and is reaped on leaving the scope, however it is left.
+    """
+
+    def __init__(self, state, u0: np.ndarray, taus: np.ndarray,
+                 flows: tuple):
+        self.state, self.u0, self.taus, self.flows = state, u0, taus, flows
+        self.pid: int | None = None
+        self.worked = self.waited = 0.0  # seconds, in steps and barriers
+
+    def __enter__(self) -> _Partner:
+        go, self.go = os.pipe()
+        self.done, done = os.pipe()
+        _flush()
+        parent = os.getpid()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare: step alone
+            for fd in (go, self.go, self.done, done):
+                os.close(fd)
+        if self.pid == 0:
+            try:
+                os.close(self.go)
+                os.close(self.done)
+                self._serve(go, done, parent)
+            finally:
+                os._exit(0)
+        if self.pid is not None:
+            _elsewhere(self.pid)
+            os.close(go)
+            os.close(done)
+            os.set_blocking(self.done, False)
+        fill_rest(self.state, self.u0, 0)
+        self._sync(lambda: fill_rest(self.state, self.u0, 1))
+        return self
+
+    def _serve(self, go: int, done: int, parent: int) -> None:
+        state = self.state
+        fill_rest(state, self.u0, 1)
+        os.write(done, b"\0")
+        # after the fill, which it may delay: a parent gone before then
+        # is seen here, or as the end of `go`
+        _die_with(parent)
+        os.set_blocking(go, False)
+        for tau in self.taus:
+            flow = _await(go)
+            if not flow:
+                return
+            stream(state)
+            collide(state, self.flows[flow[0]], float(tau), 1)
+            apply_bounce_back(state, 1)
+            os.write(done, b"\0")
+
+    def step(self, provider: Callable, tau: float, g: int) -> None:
+        """Lattice step g of both parts, part 0 and the fetch here."""
+        state = self.state
+        vel = state.vel
+        if self.pid is not None:
+            try:
+                os.write(self.go, bytes([next(
+                    i for i, flow in enumerate(self.flows) if flow is vel)]))
+            except BrokenPipeError:
+                self.close()
+        start = time.perf_counter()
+        solver_step(state, provider, tau, g)
+        own = time.perf_counter()
+        self._sync(lambda: (collide(state, vel, tau, 1),
+                            apply_bounce_back(state, 1)))
+        self.worked += own - start
+        self.waited += time.perf_counter() - own
+        if g >= _PARTNER_TRIAL_STEPS and self.waited > self.worked:
+            self.close()
+
+    def _sync(self, owed: Callable) -> None:
+        """Wait for the partner's byte; if it is gone, do `owed`, its work
+        since the last byte, here."""
+        if self.pid is None or not _await(self.done):
+            self.close()
+            owed()
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.close(self.go)
+            os.close(self.done)
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def add_training_noise(u: np.ndarray, sigma: float,
@@ -196,8 +389,15 @@ def _fork_width(parts: int) -> int:
     return max(1, min(_cpus(), parts))
 
 
+def _flush() -> None:
+    # before a fork: what is buffered would be written by both processes
+    for out in (sys.stdout, sys.stderr):
+        if out is not None:
+            out.flush()
+
+
 def _die_with(parent: int) -> None:
-    # run first in a forked child: it must not outlive a killed parent,
+    # run early in a forked child: it must not outlive a killed parent,
     # which can no longer reap it
     if sys.platform.startswith("linux"):
         import ctypes
@@ -234,14 +434,15 @@ def _fork_map(run: Callable, jobs: list, stage: Path):
     raises here, at its place. Output is flushed before each fork, and a
     child leaves only through `os._exit`, never into the caller's frames.
     """
+    global _mapping
     done: dict = {}
     children = []
     parent = os.getpid()
+    width = _fork_width(len(jobs))
+    _mapping = width > 1
     try:
-        for _ in range(_fork_width(len(jobs)) - 1):
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
+        for _ in range(width - 1):
+            _flush()
             report, write = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -267,6 +468,7 @@ def _fork_map(run: Callable, jobs: list, stage: Path):
                     contextlib.suppress(EOFError, pickle.UnpicklingError):
                 done.update(pickle.loads(f.read()))
     finally:
+        _mapping = False
         for pid, report in children:
             os.close(report)
             os.kill(pid, signal.SIGKILL)

@@ -9,12 +9,12 @@ walk, a slerp of two seeds' draws for an interpolated one. The walk returns
 only its result; each state, the prior first, goes to an optional sink, so
 a caller keeps the trajectory by keeping what the sink receives, the way
 `ade reverse --record` streams it to disk.
-The noise is most of a walk's cost. A walk drawing from a `CounterRng`
-enters its `ahead` scope: where the process may use a second CPU and a
-draw is large, one helper thread computes the next step's noise while
-the current step predicts, adds and hands its state on, and is joined
-before the walk returns or raises. On one CPU, or for small fields, no
-thread starts. A counter-based draw has the same bits wherever its pairs
+The noise is most of a walk's cost. A walk enters its noise source's
+`ahead` scope, which a `CounterRng` and the slerp of two have: where the
+process may use a second CPU and a draw is large, one helper thread per
+rng computes the next step's noise while the current step predicts, adds
+and hands its state on, and is joined before the walk returns or raises.
+On one CPU, or for small fields, no thread starts. A counter-based draw has the same bits wherever its pairs
 are computed, and the rng's position moves only with the draws the walk
 takes, so the walk's bytes do not depend on the helper.
 """
@@ -143,11 +143,12 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     prior first, to `sink`, so a caller can stream the trajectory to
     disk. No state is written to after it is handed on, so a sink that
     keeps the states it receives holds the whole trajectory. Arithmetic is
-    float64. With a `CounterRng`, the walk runs in its `ahead(steps)`
-    scope: on two or more CPUs a helper thread computes each large noise
-    field a step early, and is joined before this returns or raises. The
-    draws, the states and the rng's position afterwards are the same bits
-    either way.
+    float64. With a noise source that has an `ahead(draws)` scope, a
+    `CounterRng` or an interpolated walk's slerp of two, the walk runs in
+    its `ahead(steps)` scope: on two or more CPUs a helper thread per rng
+    computes each large noise field a step early, and is joined before
+    this returns or raises. The draws, the states and the rng's position
+    afterwards are the same bits either way.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -157,7 +158,7 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     u = np.asarray(prior, dtype=np.float64)
     sink = sink or (lambda state: None)
     sink(u)
-    with (rng.ahead(steps) if isinstance(rng, CounterRng)
+    with (rng.ahead(steps) if hasattr(rng, "ahead")
           else contextlib.nullcontext()):
         for k in range(steps, 0, -1):
             # u_hat = u + sigma * z, then u = u_hat + delta, formed in the
@@ -217,6 +218,15 @@ class _SlerpNoise:
     def normal_field(self, shape: tuple[int, ...]) -> np.ndarray:
         z_a, z_b = (rng.normal_field(shape) for rng in self.rngs)
         return slerp(z_a, z_b, self.lam)
+
+    @contextlib.contextmanager
+    def ahead(self, draws: int):
+        """Both seeds' `CounterRng.ahead(draws)` scopes: one helper thread
+        per seed for the whole walk, not one per draw."""
+        with contextlib.ExitStack() as stack:
+            for rng in self.rngs:
+                stack.enter_context(rng.ahead(draws))
+            yield
 
 
 def interpolate_sample(chain_a: CorruptionChain, chain_b: CorruptionChain,

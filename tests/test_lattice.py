@@ -1,4 +1,5 @@
 import math
+import mmap
 from fractions import Fraction
 
 import numpy as np
@@ -469,33 +470,44 @@ def _line_offsets(rows, first, plane):
 def test_every_store_starts_on_a_cache_line(shape, dtype):
     _, h, w = shape
     plane = h * w
-    st = lattice.init_from_image(CounterRng(27, 0).uniforms(
-        math.prod(shape)).reshape(shape), dtype=dtype)
-    lo = st.span.start
+    u0 = CounterRng(27, 0).uniforms(math.prod(shape)).reshape(shape)
+    for parts in (1, 2):
+        st = lattice.init_from_image(u0, dtype=dtype, parts=parts)
+        lo = st.parts[0].span.start
+        # the second part's span starts a line when the rows between the
+        # two starts fill whole lines
+        second = [p.span.start for p in st.parts[1:]
+                  if (p.span.start - lo) * st.f.itemsize % 64 == 0]
+        assert len(second) == (parts == 2 and shape != (2, 37, 53))
 
-    def starts():
-        return (_line_offsets(st.f.reshape(-1, plane), lo, plane)
-                | _line_offsets(st.f_new.reshape(-1, plane), lo, plane)
-                | _line_offsets(st.u.reshape(-1, plane), lo, plane)
-                | _line_offsets(st.wu, 0, plane)
-                | _line_offsets(st.rest, 0, plane))
+        def starts():
+            return set().union(*(
+                _line_offsets(st.f.reshape(-1, plane), first, plane)
+                | _line_offsets(st.f_new.reshape(-1, plane), first, plane)
+                | _line_offsets(st.u.reshape(-1, plane), first, plane)
+                for first in [lo] + second), *(
+                _line_offsets(p.wu, 0, plane) | _line_offsets(p.rest, 0, plane)
+                for p in st.parts))
 
-    assert starts() == {0}
-    lattice.solver_step(st, _random_provider((h, w)), 0.8, 0)
-    lattice.solver_step(st, _random_provider((h, w)), 0.8, 1)  # a flow
-    assert starts() == {0}  # after two `stream` swaps
-    lattice.stream(st)
-    assert starts() == {0}
-    assert _line_offsets(st.factor.reshape(9, plane), 0, plane) == {0}
+        assert starts() == {0}
+        for part in range(parts):
+            lattice.solver_step(st, _random_provider((h, w)), 0.8, 0, part)
+            lattice.solver_step(st, _random_provider((h, w)), 0.8, 1,
+                                part)  # a flow
+        assert starts() == {0}  # after an even number of `stream` swaps
+        lattice.stream(st)
+        assert starts() == {0}
+        assert _line_offsets(st.factor.reshape(9, plane), 0, plane) == {0}
 
 
 def _placed_at(offset):
     """`lattice._aligned`, but with flat element `first` at `offset` mod
     64 bytes."""
-    def place(shape, dtype, first=0):
+    def place(shape, dtype, first=0, shared=False):
         dtype = np.dtype(dtype)
         size = math.prod(shape) * dtype.itemsize
-        raw = np.zeros(size + 64, dtype=np.uint8)
+        raw = (np.frombuffer(mmap.mmap(-1, size + 64), dtype=np.uint8)
+               if shared else np.zeros(size + 64, dtype=np.uint8))
         skip = (offset - raw.ctypes.data - first * dtype.itemsize) % 64
         return raw[skip:skip + size].view(dtype).reshape(shape)
     return place
@@ -514,7 +526,7 @@ def test_alignment_changes_no_byte(monkeypatch, peclet, dtype):
     for offset in range(0, 64, 8):
         monkeypatch.setattr(lattice, "_aligned", _placed_at(offset))
         st = lattice.init_from_image(u0, dtype=dtype)
-        assert st.f.ctypes.data % 64 == (offset - st.span.start
+        assert st.f.ctypes.data % 64 == (offset - st.parts[0].span.start
                                          * st.f.itemsize) % 64
         chains[offset] = forward_chain(u0, sch, 5, dtype=dtype).snapshots
     assert len({c.tobytes() for c in chains.values()}) == 1

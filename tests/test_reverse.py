@@ -215,6 +215,27 @@ def test_interpolated_walk_matches_the_double_loop_bitwise(oracle):
     assert grid.tobytes() == ref.tobytes()
 
 
+def test_an_interpolated_walk_keeps_one_helper_per_seed(monkeypatch):
+    # each seed's rng draws in its own `ahead` scope for the whole walk,
+    # not in a scope per draw: 2 threads, not 2 per step
+    monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
+    ca, cb = (_odd_chain((3, 256, 256), steps=4, seed=s) for s in (41, 42))
+    starts = []
+    real = threading.Thread.start
+
+    def start(thread):
+        starts.append(thread)
+        real(thread)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    grid = interpolate_sample(ca, cb, OraclePredictor(ca), [0.4], 0.008,
+                              seed_a=21, seed_b=22)
+    assert 1 <= len(starts) <= 2
+    assert not any(thread.is_alive() for thread in starts)
+    ref = _reference_interpolate_sample(ca, cb, OraclePredictor(ca), [0.4],
+                                        0.008, 21, 22)
+    assert grid.tobytes() == ref.tobytes()
+
+
 def _respond_like_oracle(directory, chain, steps, stop):
     """Play the external partner: answer each input with the oracle delta."""
     for k in range(steps, 0, -1):
