@@ -58,7 +58,7 @@ def measure(case: str, partner: bool, calls: int,
             tiny: bool = False) -> float:
     """Median seconds of `calls` timed calls of `case`, after one warm-up
     call, in this process; a `tiny` case runs on a TINY x TINY grid."""
-    from ade import corruption
+    from ade import corruption, procs
     from ade.rng import CounterRng
     from ade.schedule import DiffusionSchedule, sigma_to_fo
 
@@ -69,11 +69,11 @@ def measure(case: str, partner: bool, calls: int,
                                        float(size), peclet=peclet)
     u0 = CounterRng(24, 0).uniforms(channels * size * size).reshape(
         channels, size, size)
-    gate, cpus = corruption._PARTNER_MIN_NODES, corruption._cpus
+    gate, cpus = corruption._PARTNER_MIN_NODES, procs._cpus
     if partner:
         corruption._PARTNER_MIN_NODES = 0
     else:
-        corruption._cpus = lambda: 1
+        procs._cpus = lambda: 1
     try:
         times = []
         for _ in range(calls + 1):
@@ -81,7 +81,7 @@ def measure(case: str, partner: bool, calls: int,
             corruption.forward_chain(u0, schedule, 0, sink=lambda snap: None)
             times.append(time.perf_counter() - start)
     finally:
-        corruption._PARTNER_MIN_NODES, corruption._cpus = gate, cpus
+        corruption._PARTNER_MIN_NODES, procs._cpus = gate, cpus
     return statistics.median(times[1:])
 
 

@@ -6,15 +6,16 @@ last), or hands each to a sink as it is formed, so a chain can be written
 to disk holding one snapshot. The channels of an image step as one lattice
 state: they evolve independently but share the velocity field, generated
 once per step. On two or more CPUs, a large image's lattice is stepped
-by the calling process and a forked partner process, half of its rows
-each, meeting at a polled barrier after every step; the bits are those
-of one process, and a partner that dies costs time, not bytes.
+by the calling process and a forked partner process (`_Partner`), half
+of its rows each, meeting at a polled barrier after every step; the bits
+are those of one process, and a partner that dies costs time, not bytes.
 A dataset's images do not depend on each other (image i has the seed
-(seed, i)), so `precompute_dataset` runs them in the calling process and
-up to one forked child per further CPU, each holding one lattice state,
-and publishes the chains in name order: the files, the report and what a
-failure leaves do not depend on the process count. Those processes fill
-the CPUs, so their chains start no partner.
+(seed, i)), so `precompute_dataset` runs them with `procs._fork_map`, in
+the calling process and up to one forked child per further CPU, each
+holding one lattice state, and publishes the chains in name order: the
+files, the report and what a failure leaves do not depend on the process
+count. Every fork, and every rule on when to fork, is in `procs`; this
+module keeps the chains and what each side of the partner computes.
 Training noise is never folded back into the chain; it is added on the fly
 when a pair is requested.
 """
@@ -24,12 +25,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import pickle
 import shutil
-import signal
-import sys
 import tempfile
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -40,10 +37,10 @@ import numpy as np
 from .errors import EngineError, ShapeMismatchError, ValidationError
 from .lattice import (VelocityField, _aligned, apply_bounce_back, collide,
                       fill_rest, init_from_image, solver_step, stream)
-from .rng import CounterRng, _cpus, derive_seed
+from .rng import CounterRng, derive_seed
 from .schedule import DiffusionSchedule
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
-from . import io
+from . import io, procs
 
 SIGMA_TRAIN_DEFAULT = 0.01
 TRAIN_SAMPLE_RATIO = 1.25
@@ -58,10 +55,6 @@ _PARTNER_MIN_NODES = 3 * 96 * 96
 # lattice steps a partner is kept, whatever it costs, before `_Partner`
 # compares the time spent waiting for it with the time it saves
 _PARTNER_TRIAL_STEPS = 8
-
-# true while `_fork_map` runs jobs in more than one process: they fill
-# the CPUs, so no chain forks a partner
-_mapping = False
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,10 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     copy it. Without a sink, they are copied into the [K+1, C, H, W]
     snapshots of the returned chain.
 
-    A lattice of at least `_PARTNER_MIN_NODES` nodes, on two or more CPUs
-    and with no other thread running, is stepped half here and half by a
-    forked `_Partner`, outside `precompute_dataset`'s children; the
-    snapshots are the same bits, and the partner is reaped before this
-    returns or raises.
+    A lattice of at least `_PARTNER_MIN_NODES` nodes is stepped half here
+    and half by a forked `_Partner` where `procs._fork_width` allows two
+    processes; the snapshots are the same bits, and the partner is reaped
+    before this returns or raises.
     """
     u0 = np.asarray(u0)
     if u0.ndim == 2:
@@ -135,7 +127,7 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     # the per-step arrays first: their build peak comes before the lattice's
     taus, rms, boundaries = schedule.per_step()
     split = (len(taus) > 0 and u0.size >= _PARTNER_MIN_NODES
-             and u0.shape[-2] >= 4 and not _mapping and _fork_width(2) == 2)
+             and u0.shape[-2] >= 4 and procs._fork_width(2) == 2)
     # checks shape and values; a partner sets the rows it steps
     state = init_from_image(u0, dtype=dtype, parts=2 if split else 1,
                             fill=not split)
@@ -171,15 +163,16 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     # start that is u0 itself, which the sum over f only approximates
     with (_Partner(state, u0, taus, flows) if split
           else contextlib.nullcontext()) as partner:
+        step = functools.partial(solver_step, state)
+        if partner is not None:
+            partner.start()
+            step = partner.step
         snap = state.u
         snap[...] = u0
         sink(snap)
         for k in range(1, k_chain + 1):
             for g in range(boundaries[k - 1], boundaries[k]):
-                if partner is None:
-                    solver_step(state, provider, float(taus[g]), g)
-                else:
-                    partner.step(provider, float(taus[g]), g)
+                step(provider, float(taus[g]), g)
             sink(snap)
     return chain
 
@@ -203,112 +196,50 @@ def _shared_flows(provider: Callable, shape: tuple[int, int]):
     return shared, flows
 
 
-def _elsewhere(pid: int) -> None:
-    # a child forked a moment ago may start on this process's CPU, and the
-    # load balancer may leave it there for a second or more, the two
-    # taking turns while another CPU idles. So it is moved to the other
-    # CPUs before it runs, where Linux says which CPU this one is on
-    # (field 39 of /proc/self/stat)
-    with contextlib.suppress(AttributeError, OSError, ValueError,
-                             IndexError):
-        with open("/proc/self/stat") as f:
-            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(pid, others)
-
-
-def _await(fd: int) -> bytes:
-    """The next byte of the non-blocking pipe `fd`, or b"" once its writer
-    is gone: polled, yielding the CPU between polls, never asleep, so no
-    step waits for a sleeping CPU to wake."""
-    while True:
-        try:
-            return os.read(fd, 1)
-        except BlockingIOError:
-            os.sched_yield()
-
-
-class _Partner:
+class _Partner(procs._Child):
     """A forked process that steps part 1 of a two-part `state` while this
     process steps part 0, one step at a time.
 
-    On entry each process sets its own part's rows to the rest equilibrium
-    of u0, and the partner sends a byte once its rows are set. `step`
-    sends the partner one byte, the index in `flows` of the field the step
-    collides with, steps part 0 here, fetches the next field and waits for
-    the partner's byte: a barrier, as the next step pulls from the rows of
-    both parts. Between steps the partner waits for its byte, so the
-    caller may read `u` whole. A partner that is gone, at any point, has
-    its rows set, and those of that step and of every later one stepped,
-    here, from u0 or from `f`, which no step writes: it costs time, not
-    bytes. So does one that is
-    let go: after `_PARTNER_TRIAL_STEPS` steps, once this process has
-    waited at the barriers longer than its own steps took, which is
-    longer than the partner's work would take it, as when either process
-    shares its CPU. The partner leaves only through `os._exit`, dies with
-    this process and is reaped on leaving the scope, however it is left.
+    On `start` each process sets its own part's rows to the rest
+    equilibrium of u0, and the partner sends a byte once its rows are set.
+    `step` sends the partner one byte, the index in `flows` of the field
+    the step collides with, steps part 0 here, fetches the next field and
+    waits for the partner's byte: a barrier, as the next step pulls from
+    the rows of both parts. Between steps the partner waits for its byte,
+    so the caller may read `u` whole. A partner that is gone, at any
+    point, or was never forked, has its rows set, and those of that step
+    and of every later one stepped, here, from u0 or from `f`, which no
+    step writes: it costs time, not bytes. So does one that is let go:
+    after `_PARTNER_TRIAL_STEPS` steps, once this process has waited at
+    the barriers longer than its own steps took, which is longer than the
+    partner's work would take it, as when either process shares its CPU.
     """
+
+    placed = True
 
     def __init__(self, state, u0: np.ndarray, taus: np.ndarray,
                  flows: tuple):
-        self.state, self.u0, self.taus, self.flows = state, u0, taus, flows
-        self.pid: int | None = None
+        # the partner's steps hold the state, not this object: a cycle
+        # through it would keep the shared buffers mapped until a collection
+        super().__init__(functools.partial(_serve, state, u0, taus, flows))
+        self.state, self.u0, self.flows = state, u0, flows
         self.worked = self.waited = 0.0  # seconds, in steps and barriers
 
-    def __enter__(self) -> _Partner:
-        go, self.go = os.pipe()
-        self.done, done = os.pipe()
-        _flush()
-        parent = os.getpid()
-        try:
-            self.pid = os.fork()
-        except OSError:  # no process to spare: step alone
-            for fd in (go, self.go, self.done, done):
-                os.close(fd)
-        if self.pid == 0:
-            try:
-                os.close(self.go)
-                os.close(self.done)
-                self._serve(go, done, parent)
-            finally:
-                os._exit(0)
+    def start(self) -> None:
         if self.pid is not None:
-            _elsewhere(self.pid)
-            os.close(go)
-            os.close(done)
-            os.set_blocking(self.done, False)
+            os.set_blocking(self.recv, False)
         fill_rest(self.state, self.u0, 0)
         self._sync(lambda: fill_rest(self.state, self.u0, 1))
-        return self
-
-    def _serve(self, go: int, done: int, parent: int) -> None:
-        state = self.state
-        fill_rest(state, self.u0, 1)
-        os.write(done, b"\0")
-        # after the fill, which it may delay: a parent gone before then
-        # is seen here, or as the end of `go`
-        _die_with(parent)
-        os.set_blocking(go, False)
-        for tau in self.taus:
-            flow = _await(go)
-            if not flow:
-                return
-            stream(state)
-            collide(state, self.flows[flow[0]], float(tau), 1)
-            apply_bounce_back(state, 1)
-            os.write(done, b"\0")
 
     def step(self, provider: Callable, tau: float, g: int) -> None:
         """Lattice step g of both parts, part 0 and the fetch here."""
         state = self.state
         vel = state.vel
+        # a partner gone already is seen at the barrier below
         if self.pid is not None:
-            try:
-                os.write(self.go, bytes([next(
+            with contextlib.suppress(BrokenPipeError):
+                os.write(self.send, bytes([next(
                     i for i, flow in enumerate(self.flows) if flow is vel)]))
-            except BrokenPipeError:
-                self.close()
         start = time.perf_counter()
         solver_step(state, provider, tau, g)
         own = time.perf_counter()
@@ -322,20 +253,25 @@ class _Partner:
     def _sync(self, owed: Callable) -> None:
         """Wait for the partner's byte; if it is gone, do `owed`, its work
         since the last byte, here."""
-        if self.pid is None or not _await(self.done):
+        if self.pid is None or not procs._await(self.recv):
             self.close()
             owed()
 
-    def close(self) -> None:
-        if self.pid is not None:
-            os.close(self.go)
-            os.close(self.done)
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+def _serve(state, u0: np.ndarray, taus: np.ndarray, flows: tuple, go: int,
+           done: int) -> None:
+    """The partner's side of `_Partner`: part 1's rows, then its steps."""
+    fill_rest(state, u0, 1)
+    os.write(done, b"\0")
+    os.set_blocking(go, False)
+    for tau in taus:
+        flow = procs._await(go)
+        if not flow:
+            return
+        stream(state)
+        collide(state, flows[flow[0]], float(tau), 1)
+        apply_bounce_back(state, 1)
+        os.write(done, b"\0")
 
 
 def add_training_noise(u: np.ndarray, sigma: float,
@@ -377,104 +313,6 @@ def regression_loss(delta_pred: np.ndarray,
     diff = (delta_pred - delta_target).ravel()
     # np.sum, not BLAS dot: result must not depend on thread count
     return float(np.sum(diff * diff))
-
-
-def _fork_width(parts: int) -> int:
-    """How many processes a job of `parts` independent parts may fork
-    into: one per CPU of the affinity mask at most, and 1 where forking is
-    unsafe: not available, or another thread is running, whose locks a
-    child could inherit held."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_cpus(), parts))
-
-
-def _flush() -> None:
-    # before a fork: what is buffered would be written by both processes
-    for out in (sys.stdout, sys.stderr):
-        if out is not None:
-            out.flush()
-
-
-def _die_with(parent: int) -> None:
-    # run early in a forked child: it must not outlive a killed parent,
-    # which can no longer reap it
-    if sys.platform.startswith("linux"):
-        import ctypes
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        PR_SET_PDEATHSIG = 1
-        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:  # the parent died before the prctl
-        os._exit(1)
-
-
-def _claim_and_run(run: Callable, jobs: list, stage: Path,
-                   done: dict) -> None:
-    # job i is run by the process that creates stage/.claim-<i>: an
-    # exclusive create is a claim no dying process can leave half made
-    for i, job in enumerate(jobs):
-        try:
-            os.close(os.open(stage / f".claim-{i}",
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            continue
-        done[i] = run(job)
-
-
-def _fork_map(run: Callable, jobs: list, stage: Path):
-    """map(run, jobs), run by this process and `_fork_width - 1` forked
-    children, `stage` being an empty dir private to the call.
-
-    Every process takes the next job nobody has taken, and a child reports
-    the jobs it finished once none is left. The children are reaped before
-    the first result is yielded, in job order; a job no child reported
-    (its child raised or died) is run here at its turn, so a failing job
-    raises here, at its place. Output is flushed before each fork, and a
-    child leaves only through `os._exit`, never into the caller's frames.
-    """
-    global _mapping
-    done: dict = {}
-    children = []
-    parent = os.getpid()
-    width = _fork_width(len(jobs))
-    _mapping = width > 1
-    try:
-        for _ in range(width - 1):
-            _flush()
-            report, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(report)
-                    _die_with(parent)
-                    _claim_and_run(run, jobs, stage, done)
-                finally:
-                    try:
-                        with open(write, "wb") as f:
-                            f.write(pickle.dumps(done))
-                    finally:
-                        os._exit(0)
-            os.close(write)
-            children.append((pid, report))
-        if children:
-            # a failed job is left unreported, to be run again below
-            with contextlib.suppress(Exception):
-                _claim_and_run(run, jobs, stage, done)
-        # read only now: a child blocked on a long report merely waits
-        for _, report in children:
-            with open(report, "rb", closefd=False) as f, \
-                    contextlib.suppress(EOFError, pickle.UnpicklingError):
-                done.update(pickle.loads(f.read()))
-    finally:
-        _mapping = False
-        for pid, report in children:
-            os.close(report)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for i, job in enumerate(jobs):
-        yield done[i] if i in done else run(job)
 
 
 def _chain_image(job: tuple[int, str], input_dir: Path, stage: Path,
@@ -560,7 +398,7 @@ def precompute_dataset(input_dir: str | Path, out_dir: str | Path,
             _chain_image, input_dir=input_dir, stage=stage,
             ref_shape=ref_shape, schedule=schedule, seed=seed,
             turbulence=turbulence, dtype=dtype)
-        for name, out_name, outcome in _fork_map(run, jobs, stage):
+        for name, out_name, outcome in procs._fork_map(run, jobs, stage):
             if out_name is None:
                 errors[name] = outcome
             elif out_name in owners:

@@ -14,19 +14,21 @@ releasing the GIL in its loops; inside `CounterRng.ahead(draws)`, the
 scope a reverse walk enters, one helper serves the whole walk and, once
 the current draw's chunks are all claimed, goes on to the next draw of the
 same size at the next position while the caller uses the current one.
-Small draws, and every draw on one CPU, are computed by the caller alone
-and start no thread. The bits and `position` do not depend on any of it:
-the position moves only when a caller takes a draw, and a draw computed
-ahead for another position or size is discarded.
+Small draws, and every draw on one CPU (counted by `procs._cpus`, as for
+every process a command starts), are computed by the caller alone and
+start no thread. The bits and `position` do not depend on any of it: the
+position moves only when a caller takes a draw, and a draw computed ahead
+for another position or size is discarded.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
 import numpy as np
+
+from . import procs
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -40,15 +42,6 @@ _SPLIT_MIN_VALUES = 2**17
 # Box-Muller pairs per chunk of a draw: a chunk's scratch, four rows of
 # words, is 512 KiB and stays in a 2 MiB L2
 _CHUNK = 2**14
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _mix(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -170,7 +163,7 @@ class CounterRng:
         The bits are the same either way.
         """
         m = (n + 1) // 2
-        if n < _SPLIT_MIN_VALUES or _cpus() < 2:
+        if n < _SPLIT_MIN_VALUES or procs._cpus() < 2:
             out = np.empty(2 * m)
             scratch = self._scratch_for(m)[0]
             for lo in range(0, m, _CHUNK):

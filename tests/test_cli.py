@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ade import cli, corruption, io, reverse
+from ade import cli, io, reverse
 from ade.corruption import CorruptionChain
 from ade.errors import PredictorTimeoutError
 from ade.params import REQUIRED, resolve
@@ -634,7 +634,7 @@ def test_a_chain_that_fails_midway_leaves_no_file(workdir, capsys,
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_dataset_that_fails_at_image_2_publishes_image_1_alone(
-        workdir, capsys, monkeypatch, workers):
+        workdir, capsys, monkeypatch, cpus, workers):
     (workdir / "in").mkdir()
     for i, name in enumerate("abcd"):
         _field_image(workdir / "in" / f"{name}.pgm", 70 + i, n=12)
@@ -648,7 +648,7 @@ def test_a_dataset_that_fails_at_image_2_publishes_image_1_alone(
             raise OSError("disk full")
         real(self, row)
     monkeypatch.setattr(io.TensorWriter, "append", fail_at_image_2)
-    monkeypatch.setattr(corruption, "_cpus", lambda: workers)
+    cpus(workers)
     assert cli.main(["chain", "--in-dir", "in", "--out", "o", "--steps", "2",
                      "--pe", "0.1"]) == 1
     assert "OSError: disk full" in _one_error_line(capsys)
@@ -708,7 +708,7 @@ def test_corrupt_names_the_input_bytes_it_chained(workdir, monkeypatch):
 
 
 def test_no_command_reads_its_own_output_back_to_hash_it(workdir,
-                                                         monkeypatch):
+                                                         monkeypatch, cpus):
     # each file_sha256 call, a forked chain child's too, is logged to a
     # file outside every --out
     log = workdir / "hashed.log"
@@ -719,7 +719,7 @@ def test_no_command_reads_its_own_output_back_to_hash_it(workdir,
             f.write(f"{Path(path).resolve()}\n")
         return real(path)
     monkeypatch.setattr(io, "file_sha256", logged)
-    monkeypatch.setattr(corruption, "_cpus", lambda: 2)
+    cpus(2)
     _field_image(workdir / "a.pgm", 61)
     (workdir / "in").mkdir()
     for i, name in enumerate("abc"):
@@ -877,8 +877,8 @@ def test_reverse_needs_a_positive_timeout(workdir, capsys, timeout):
 # small draw
 _FORKING_ADE = (
     "import sys\n"
-    "from ade import cli, corruption, rng\n"
-    "corruption._cpus = rng._cpus = lambda: 2\n"
+    "from ade import cli, procs, rng\n"
+    "procs._cpus = lambda: 2\n"
     "rng._SPLIT_MIN_VALUES = 0\n"
     "sys.exit(cli.main(sys.argv[1:]))\n")
 

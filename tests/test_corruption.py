@@ -373,21 +373,6 @@ def test_a_chain_name_freed_by_an_unreadable_image_is_written(tmp_path):
     assert list(result["errors"]) == ["a.PGM"]
 
 
-def _workers(monkeypatch, count):
-    """Force `count` CPUs; return the list of the children forked."""
-    monkeypatch.setattr(corruption, "_cpus", lambda: count)
-    forks = []
-    real = os.fork
-
-    def spy():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", spy)
-    return forks
-
-
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -402,9 +387,8 @@ def _wait_for(ready, seconds=60.0):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("peclet", [0.0, 0.1])
-def test_the_worker_count_changes_no_byte_and_no_report(tmp_path,
-                                                        monkeypatch, peclet,
-                                                        dtype):
+def test_the_worker_count_changes_no_byte_and_no_report(tmp_path, cpus,
+                                                        peclet, dtype):
     src = tmp_path / "in"
     src.mkdir()
     for i, name in enumerate(("a.pgm", "c.pgm", "e.pgm")):
@@ -414,7 +398,7 @@ def test_the_worker_count_changes_no_byte_and_no_report(tmp_path,
     sch = _schedule(n=12, peclet=peclet)
     runs = {}
     for count in (1, 2, 3):
-        forks = _workers(monkeypatch, count)
+        forks = cpus(count)
         out = tmp_path / f"out{count}"
         report = precompute_dataset(src, out, sch, seed=9, dtype=dtype)
         assert len(forks) == count - 1  # this process runs images too
@@ -436,9 +420,9 @@ def test_buffered_output_is_printed_once_across_the_fork(tmp_path):
         _write_pgm(src / name, 60 + i)
     script = (
         "import sys\n"
-        "from ade import corruption\n"
+        "from ade import corruption, procs\n"
         "from ade.schedule import DiffusionSchedule, sigma_to_fo\n"
-        "corruption._cpus = lambda: 3\n"
+        "procs._cpus = lambda: 3\n"
         "print('before the pool')\n"
         "sch = DiffusionSchedule.from_levels([sigma_to_fo(0.5, 12)], 12.0)\n"
         "report = corruption.precompute_dataset(sys.argv[1], sys.argv[2],\n"
@@ -454,13 +438,13 @@ def test_buffered_output_is_printed_once_across_the_fork(tmp_path):
 
 
 def test_a_child_killed_mid_image_costs_time_not_bytes(tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, cpus):
     src = tmp_path / "in"
     src.mkdir()
     for i, name in enumerate(("a.pgm", "b.pgm", "c.pgm")):
         _write_pgm(src / name, 70 + i)
     sch = _schedule(n=12, peclet=0.1)
-    _workers(monkeypatch, 1)
+    cpus(1)
     alone = precompute_dataset(src, tmp_path / "alone", sch, seed=0)
     parent = os.getpid()
     killed = tmp_path / "killed"
@@ -473,7 +457,7 @@ def test_a_child_killed_mid_image_costs_time_not_bytes(tmp_path,
         _wait_for(killed.exists)
         real(self, row)
     monkeypatch.setattr(io.TensorWriter, "append", append)
-    forks = _workers(monkeypatch, 2)
+    forks = cpus(2)
     out = tmp_path / "out"
     assert precompute_dataset(src, out, sch, seed=0) == alone
     assert len(forks) == 1 and killed.exists()
@@ -484,7 +468,7 @@ def test_a_child_killed_mid_image_costs_time_not_bytes(tmp_path,
 
 
 def test_a_job_that_fails_in_a_child_fails_the_run_at_its_image(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, cpus):
     src = tmp_path / "in"
     src.mkdir()
     names = ["a.pgm", "b.pgm", "c.pgm", "d.pgm"]
@@ -504,7 +488,7 @@ def test_a_job_that_fails_in_a_child_fails_the_run_at_its_image(
             raise OSError(f"disk full at {job[1]}")
         return real(job, **kwargs)
     monkeypatch.setattr(corruption, "_chain_image", chain_image)
-    forks = _workers(monkeypatch, 2)
+    forks = cpus(2)
     out = tmp_path / "out"
     with pytest.raises(OSError, match="disk full at"):
         precompute_dataset(src, out, _schedule(n=12), seed=0)
@@ -516,7 +500,8 @@ def test_a_job_that_fails_in_a_child_fails_the_run_at_its_image(
         n.replace(".pgm", "_chain.adet") for n in before]
 
 
-def test_the_parent_runs_every_image_it_can_claim(tmp_path, monkeypatch):
+def test_the_parent_runs_every_image_it_can_claim(tmp_path, monkeypatch,
+                                                  cpus):
     src = tmp_path / "in"
     src.mkdir()
     for i in range(6):
@@ -535,7 +520,7 @@ def test_the_parent_runs_every_image_it_can_claim(tmp_path, monkeypatch):
         _wait_for(slow.exists)
         return real(job, **kwargs)
     monkeypatch.setattr(corruption, "_chain_image", chain_image)
-    _workers(monkeypatch, 2)
+    cpus(2)
     report = precompute_dataset(src, tmp_path / "out", _schedule(n=12),
                                 seed=0)
     assert len(report["written"]) == 6

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ade import corruption, io
+from ade import corruption, io, procs
 from ade.corruption import forward_chain, precompute_dataset
 from ade.errors import ValidationError
 from ade.lattice import LatticeState
@@ -35,23 +35,6 @@ def _ladder(n, peclet):
         float(n), peclet=peclet)
 
 
-def _cpus(monkeypatch, count):
-    """Force `count` CPUs, or leave the affinity mask to decide if None;
-    return the list of the processes forked."""
-    if count is not None:
-        monkeypatch.setattr(corruption, "_cpus", lambda: count)
-    forks = []
-    real = os.fork
-
-    def spy():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", spy)
-    return forks
-
-
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -74,11 +57,11 @@ def _chain(u0, sch, dtype, sink=False):
     (shape, peclet, dtype) for shape in ((1, 256, 256), (2, 200, 200))
     for peclet in (0.0, 0.1, 1.0) for dtype in (np.float32, np.float64)]
     + [((1, 256, 255), 0.0, np.float64)])  # a flow needs a square grid
-def test_a_partner_changes_no_byte(monkeypatch, shape, peclet, dtype):
+def test_a_partner_changes_no_byte(cpus, shape, peclet, dtype):
     u0, sch = _image(shape), _ladder(shape[-1], peclet)
-    _cpus(monkeypatch, 1)
+    cpus(1)
     alone = _chain(u0, sch, dtype)
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
     assert _chain(u0, sch, dtype) == alone
     assert _chain(u0, sch, dtype, sink=True) == alone
     assert len(forks) == 2
@@ -86,11 +69,11 @@ def test_a_partner_changes_no_byte(monkeypatch, shape, peclet, dtype):
 
 
 @pytest.mark.parametrize("when", ["at the fork", "at snapshot 3"])
-def test_a_killed_partner_costs_time_not_bytes(monkeypatch, when):
+def test_a_killed_partner_costs_time_not_bytes(monkeypatch, cpus, when):
     u0, sch = _image((1, 192, 192)), _ladder(192, 0.1)
-    _cpus(monkeypatch, 1)
+    cpus(1)
     alone = _chain(u0, sch, np.float64)
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
     if when == "at the fork":  # before it has set its rows
         real = os.fork
 
@@ -111,14 +94,15 @@ def test_a_killed_partner_costs_time_not_bytes(monkeypatch, when):
     _no_child_left()
 
 
-def test_a_partner_that_costs_more_than_it_saves_is_let_go(monkeypatch):
+def test_a_partner_that_costs_more_than_it_saves_is_let_go(monkeypatch,
+                                                            cpus):
     u0 = _image((1, 192, 192))
     sch = DiffusionSchedule.from_levels(
         [sigma_to_fo(s, 192) for s in (0.5, 1.5, 3.0)], 192.0)
     assert sch.lattice_steps > 2 * corruption._PARTNER_TRIAL_STEPS
-    _cpus(monkeypatch, 1)
+    cpus(1)
     alone = _chain(u0, sch, np.float64)
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
     parent = os.getpid()
     real = corruption.collide
 
@@ -142,9 +126,10 @@ def test_a_partner_that_costs_more_than_it_saves_is_let_go(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["sink", "provider"])
-def test_a_failed_chain_leaves_no_partner_and_no_pipe(monkeypatch, where):
+def test_a_failed_chain_leaves_no_partner_and_no_pipe(monkeypatch, cpus,
+                                                       where):
     u0, sch = _image((1, 192, 192)), _ladder(192, 0.1)
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
     fds = _fds()
     calls = []
 
@@ -164,12 +149,12 @@ def test_a_failed_chain_leaves_no_partner_and_no_pipe(monkeypatch, where):
     assert _fds() == fds
 
 
-def test_no_partner_on_one_cpu_or_beside_a_thread(monkeypatch):
+def test_no_partner_on_one_cpu_or_beside_a_thread(cpus):
     u0, sch = _image((1, 192, 192)), _ladder(192, 0.0)
-    forks = _cpus(monkeypatch, 1)
+    forks = cpus(1)
     forward_chain(u0, sch, 7)
     assert forks == []
-    _cpus(monkeypatch, 2)
+    cpus(2)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -182,8 +167,8 @@ def test_no_partner_on_one_cpu_or_beside_a_thread(monkeypatch):
     assert forks == []
 
 
-def test_no_partner_below_the_gate(monkeypatch):
-    forks = _cpus(monkeypatch, 2)
+def test_no_partner_below_the_gate(cpus):
+    forks = cpus(2)
     side = math.isqrt(corruption._PARTNER_MIN_NODES - 1)  # side^2 < gate
     forward_chain(_image((1, side, side)), _ladder(side, 0.0), 7)
     assert forks == []
@@ -191,11 +176,11 @@ def test_no_partner_below_the_gate(monkeypatch):
     assert len(forks) == 1
 
 
-def test_the_affinity_mask_decides_unforced(monkeypatch):
+def test_the_affinity_mask_decides_unforced(cpus):
     # run on one CPU (taskset -c 0) this starts no partner, on two it does
-    forks = _cpus(monkeypatch, None)
+    forks = cpus(None)
     forward_chain(_image((1, 192, 192)), _ladder(192, 0.0), 7)
-    assert len(forks) == (corruption._cpus() >= 2)
+    assert len(forks) == (procs._cpus() >= 2)
     _no_child_left()
 
 
@@ -222,14 +207,14 @@ def _partners(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("images", [1, 2, 3])
-def test_only_a_lone_chain_worker_starts_a_partner(monkeypatch, tmp_path,
-                                                   images):
+def test_only_a_lone_chain_worker_starts_a_partner(monkeypatch, cpus,
+                                                   tmp_path, images):
     src = tmp_path / "in"
     src.mkdir()
     for i in range(images):
         io.write_image(src / f"{i}.pgm", _image((1, 256, 256), 50 + i),
                        maxval=255)
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
     marks = _partners(monkeypatch, tmp_path)
     report = precompute_dataset(src, tmp_path / "out", _ladder(256, 0.0),
                                 seed=3)
@@ -247,9 +232,9 @@ def _rss_kb():
     return {k: int(fields[k].split()[0]) for k in ("VmRSS", "RssShmem")}
 
 
-def test_the_shared_buffers_are_freed_at_return(monkeypatch):
+def test_the_shared_buffers_are_freed_at_return(cpus):
     u0, sch = _image((1, 256, 256)), _ladder(256, 0.0)
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
     forward_chain(u0, sch, 7, sink=lambda snap: None)
     before = _rss_kb()
     for _ in range(20):

@@ -215,10 +215,10 @@ def test_interpolated_walk_matches_the_double_loop_bitwise(oracle):
     assert grid.tobytes() == ref.tobytes()
 
 
-def test_an_interpolated_walk_keeps_one_helper_per_seed(monkeypatch):
+def test_an_interpolated_walk_keeps_one_helper_per_seed(monkeypatch, cpus):
     # each seed's rng draws in its own `ahead` scope for the whole walk,
     # not in a scope per draw: 2 threads, not 2 per step
-    monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
+    cpus(2)
     ca, cb = (_odd_chain((3, 256, 256), steps=4, seed=s) for s in (41, 42))
     starts = []
     real = threading.Thread.start
@@ -322,7 +322,7 @@ def test_extern_predictor_needs_a_positive_wait(tmp_path, name, value):
 _REAL_TAKE = ade_rng._Ahead.take
 
 
-def _split(monkeypatch, on, chunk=7):
+def _split(monkeypatch, cpus, on, chunk=7):
     """Force the helper thread of each normal draw on (whatever the CPU
     count) or off, with draws cut in chunks of `chunk` pairs so that small
     fields have many; return the list of the pair counts of the draws
@@ -330,7 +330,7 @@ def _split(monkeypatch, on, chunk=7):
     monkeypatch.setattr(ade_rng, "_SPLIT_MIN_VALUES", 0 if on else 1 << 62)
     monkeypatch.setattr(ade_rng, "_CHUNK", chunk)
     if on:
-        monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
+        cpus(2)
     split = []
 
     def spy(ahead, start, m):
@@ -349,7 +349,7 @@ def _odd_chain(shape, steps=5, seed=40):
                                    (1, 33, 31)])
 @pytest.mark.parametrize("sigma", [0.0, 0.008])
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "zero"])
-def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
+def test_the_helper_process_changes_no_byte(monkeypatch, cpus, shape, sigma,
                                             oracle):
     # the helper: the walk's thread that shares each draw's chunks and
     # computes the next draw ahead
@@ -359,7 +359,7 @@ def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
     runs = []
     for on in (False, True):
         threads = threading.active_count()
-        split = _split(monkeypatch, on)
+        split = _split(monkeypatch, cpus, on)
         rng, states = CounterRng(12, 0, position=3), []
         out = sample(chain.prior, pred, chain.chain_length, sigma, rng,
                      sink=states.append)
@@ -370,10 +370,10 @@ def test_the_helper_process_changes_no_byte(monkeypatch, shape, sigma,
     assert runs[1] == runs[0]
 
 
-def test_a_failed_walk_leaves_no_helper(monkeypatch):
+def test_a_failed_walk_leaves_no_helper(monkeypatch, cpus):
     chain = _odd_chain((2, 9, 9))
     threads = threading.active_count()
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
 
     class WrongAtStep3(OraclePredictor):
         def predict(self, u_hat, k):
@@ -385,10 +385,10 @@ def test_a_failed_walk_leaves_no_helper(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
+def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch, cpus):
     # every chunk past the first fails, whichever thread computes it
     threads = threading.active_count()
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
     real = CounterRng._pairs
 
     def pairs(rng, start, m, lo, hi, out, scratch=None):
@@ -404,12 +404,12 @@ def test_an_error_in_the_second_half_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_a_split_walk_forks_no_process(monkeypatch):
+def test_a_split_walk_forks_no_process(monkeypatch, cpus):
     chain = _odd_chain((3, 11, 13), steps=6)
-    _split(monkeypatch, False)
+    _split(monkeypatch, cpus, False)
     plain = sample(chain.prior, _HalfOracle(chain), 6, 0.008,
                    CounterRng(2, 0))
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
 
     def fork():
         raise AssertionError("the walk forked")
@@ -421,13 +421,13 @@ def test_a_split_walk_forks_no_process(monkeypatch):
     assert rng.position == 6 * 430  # six draws of 215 pairs
 
 
-def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch):
+def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch, cpus):
     # beside another thread, draws now split, with the same bytes; on one
     # CPU no thread starts
     chain = _odd_chain((1, 6, 6))
-    _split(monkeypatch, False)
+    _split(monkeypatch, cpus, False)
     plain = sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30.0,))
     other.start()
@@ -440,7 +440,7 @@ def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch):
     assert not other.is_alive()
     assert out.tobytes() == plain.tobytes()
     assert split == [18] * 5
-    monkeypatch.setattr(ade_rng, "_cpus", lambda: 1)
+    cpus(1)
     monkeypatch.setattr(threading, "Thread", None)  # starting one fails
     out = sample(chain.prior, ZeroPredictor(), 5, 0.008, CounterRng(1, 0))
     assert out.tobytes() == plain.tobytes()
@@ -448,10 +448,10 @@ def test_no_helper_beside_another_thread_or_on_one_cpu(monkeypatch):
 
 
 def test_a_failed_walk_joins_its_helper_and_counts_only_the_draws_taken(
-        monkeypatch):
+        monkeypatch, cpus):
     chain = _odd_chain((2, 9, 9))
     threads = threading.active_count()
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
     during = []
 
     def sink_failing_at_step_2(state):
@@ -479,9 +479,9 @@ def test_a_failed_walk_joins_its_helper_and_counts_only_the_draws_taken(
     assert threading.active_count() == threads
 
 
-def test_the_helper_computes_no_draw_past_the_walk(monkeypatch):
+def test_the_helper_computes_no_draw_past_the_walk(monkeypatch, cpus):
     chain = _odd_chain((3, 11, 13), steps=6)
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
     real, starts = CounterRng._pairs, set()
 
     def pairs(rng, start, m, lo, hi, out, scratch=None):
@@ -508,9 +508,9 @@ class _RecordedRng(CounterRng):
 
 
 def test_a_draw_at_a_moved_position_discards_the_one_computed_ahead(
-        monkeypatch):
+        monkeypatch, cpus):
     chain = _odd_chain((1, 33, 31))
-    split = _split(monkeypatch, True)
+    split = _split(monkeypatch, cpus, True)
     rng = _RecordedRng(4, 1)
 
     class JumpAtStep3(ZeroPredictor):
@@ -529,10 +529,10 @@ def test_a_draw_at_a_moved_position_discards_the_one_computed_ahead(
 
 
 def test_an_error_in_a_chunk_the_helper_computes_reaches_the_caller(
-        monkeypatch):
+        monkeypatch, cpus):
     chain = _odd_chain((2, 9, 9))
     threads = threading.active_count()
-    _split(monkeypatch, True)
+    _split(monkeypatch, cpus, True)
     real, failed = CounterRng._pairs, threading.Event()
 
     def pairs(rng, start, m, lo, hi, out, scratch=None):
@@ -555,14 +555,14 @@ def test_an_error_in_a_chunk_the_helper_computes_reaches_the_caller(
     assert threading.active_count() == threads
 
 
-def test_walks_in_many_threads_keep_the_bits_of_one_thread(monkeypatch):
+def test_walks_in_many_threads_keep_the_bits_of_one_thread(monkeypatch, cpus):
     # six walks at once, each with its own helper, on a short switch
     # interval: a chunk claimed twice or lost would change a byte
     chain = _odd_chain((2, 9, 9))
-    _split(monkeypatch, False)
+    _split(monkeypatch, cpus, False)
     expect = [sample(chain.prior, _HalfOracle(chain), 5, 0.3,
                      CounterRng(seed, 0)).tobytes() for seed in range(6)]
-    _split(monkeypatch, True, chunk=3)
+    _split(monkeypatch, cpus, True, chunk=3)
     got = [None] * len(expect)
 
     def walk(seed):

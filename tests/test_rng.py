@@ -137,7 +137,7 @@ def test_every_cut_of_a_draw_has_the_bits_of_the_whole(n, position):
 
 
 def test_threads_drawing_from_their_own_rngs_get_the_bits_of_one_thread(
-        monkeypatch):
+        monkeypatch, cpus):
     # every rng keeps its own scratch for its own thread and its helper;
     # 100-pair chunks give each larger draw several to share
     sizes = [1001, 2, 4096, 3, 777]
@@ -147,7 +147,7 @@ def test_threads_drawing_from_their_own_rngs_get_the_bits_of_one_thread(
         expect.append([r.normals(n).tobytes() for n in sizes * 4])
     monkeypatch.setattr(ade_rng, "_SPLIT_MIN_VALUES", 0)
     monkeypatch.setattr(ade_rng, "_CHUNK", 100)
-    monkeypatch.setattr(ade_rng, "_cpus", lambda: 2)
+    cpus(2)
     got = [[] for _ in expect]
 
     def draw(seed):
