@@ -144,9 +144,10 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         elif turbulence.size != height:
             raise ShapeMismatchError(
                 f"turbulence size {turbulence.size} != grid {height}")
-        gen = TurbulenceGenerator(turbulence, seed)
-        provider = lambda step: gen.generate(  # noqa: E731
-            step, float(rms[step]))
+        gen, last = TurbulenceGenerator(turbulence, seed), len(taus) - 1
+        # no step collides with the field fetched at the last one
+        provider = lambda step: (  # noqa: E731
+            None if step == last else gen.generate(step, float(rms[step])))
         if split:
             provider, flows = _shared_flows(provider, state.shape)
     else:

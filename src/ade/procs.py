@@ -67,12 +67,13 @@ def _die_with(parent: int) -> None:
 
 
 def _others() -> set[int]:
-    # a child forked a moment ago may start on this process's CPU, and the
-    # load balancer may leave it there for a second or more, the two
-    # taking turns while another CPU idles. So a placed child is moved to
-    # the other CPUs of the mask before it runs, where Linux says which CPU
-    # this one is on (field 39 of /proc/self/stat). Read before the fork:
-    # after it, the child may hold this CPU and the read wait for it
+    # a child forked a moment ago may start on this process's CPU, and
+    # where the cpuset turns load balancing off (cpuset.sched_load_balance
+    # 0) nothing moves it from there, the two taking turns while another
+    # CPU idles. So a placed child is moved to the other CPUs of the mask
+    # before it runs, where Linux says which CPU this one is on (field 39
+    # of /proc/self/stat). Read before the fork: after it, the child may
+    # hold this CPU and the read wait for it
     with contextlib.suppress(AttributeError, OSError, ValueError,
                              IndexError):
         with open("/proc/self/stat") as f:

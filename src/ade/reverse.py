@@ -11,12 +11,12 @@ a caller keeps the trajectory by keeping what the sink receives, the way
 `ade reverse --record` streams it to disk.
 The noise is most of a walk's cost. A walk enters its noise source's
 `ahead` scope, which a `CounterRng` and the slerp of two have: where the
-process may use a second CPU and a draw is large, one helper thread per
+process may use a second CPU and a draw is large, a one-thread pool per
 rng computes the next step's noise while the current step predicts, adds
 and hands its state on, and is joined before the walk returns or raises.
 On one CPU, or for small fields, no thread starts. A counter-based draw has the same bits wherever its pairs
 are computed, and the rng's position moves only with the draws the walk
-takes, so the walk's bytes do not depend on the helper.
+takes, so the walk's bytes do not depend on the pool.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def sample(prior: np.ndarray, predictor: Predictor, steps: int,
     keeps the states it receives holds the whole trajectory. Arithmetic is
     float64. With a noise source that has an `ahead(draws)` scope, a
     `CounterRng` or an interpolated walk's slerp of two, the walk runs in
-    its `ahead(steps)` scope: on two or more CPUs a helper thread per rng
+    its `ahead(steps)` scope: on two or more CPUs a one-thread pool per rng
     computes each large noise field a step early, and is joined before
     this returns or raises. The draws, the states and the rng's position
     afterwards are the same bits either way.
@@ -221,8 +221,8 @@ class _SlerpNoise:
 
     @contextlib.contextmanager
     def ahead(self, draws: int):
-        """Both seeds' `CounterRng.ahead(draws)` scopes: one helper thread
-        per seed for the whole walk, not one per draw."""
+        """Both seeds' `CounterRng.ahead(draws)` scopes: one pool per seed
+        for the whole walk, not one per draw."""
         with contextlib.ExitStack() as stack:
             for rng in self.rngs:
                 stack.enter_context(rng.ahead(draws))

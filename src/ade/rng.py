@@ -9,22 +9,23 @@ The same holds inside one normal draw: each Box-Muller pair is an
 elementwise function of its two words, so any range of a draw's pairs can
 be computed apart and its bits do not depend on where the range is cut.
 `CounterRng.normals` computes a draw in chunks of `_CHUNK` pairs. A large
-draw on two or more CPUs shares its chunks with a helper thread, numpy
-releasing the GIL in its loops; inside `CounterRng.ahead(draws)`, the
-scope a reverse walk enters, one helper serves the whole walk and, once
-the current draw's chunks are all claimed, goes on to the next draw of the
-same size at the next position while the caller uses the current one.
-Small draws, and every draw on one CPU (counted by `procs._cpus`, as for
-every process a command starts), are computed by the caller alone and
-start no thread. The bits and `position` do not depend on any of it: the
-position moves only when a caller takes a draw, and a draw computed ahead
-for another position or size is discarded.
+draw on two or more CPUs shares its chunks with a pool of one worker
+thread, numpy releasing the GIL in its loops; inside
+`CounterRng.ahead(draws)`, the scope a reverse walk enters, one pool serves
+the whole walk. Each draw's chunks are submitted to it, with those of the
+next draw of the same size at the next position behind them, and the
+caller computes every chunk of its own draw that the worker has not
+started, cancelling it in the pool, while the worker goes on to the next
+draw. Small draws, and every draw on one CPU (counted by `procs._cpus`,
+as for every process a command starts), are computed by the caller alone
+and start no thread. The bits and `position` do not depend on any of it:
+the position moves only when a caller takes a draw, and a draw computed
+ahead for another position or size is cancelled and discarded.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 
 import numpy as np
 
@@ -35,8 +36,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 
-# draw size from which `normals` shares the draw with a helper thread:
-# below it, starting the thread costs about what the helper saves
+# draw size from which `normals` shares the draw with a worker thread:
+# below it, starting the thread costs about what the worker saves
 _SPLIT_MIN_VALUES = 2**17
 
 # Box-Muller pairs per chunk of a draw: a chunk's scratch, four rows of
@@ -90,10 +91,10 @@ class CounterRng:
         self.seed = seed
         self.stream = stream
         self.position = position
-        # chunk scratch for the calling thread and the helper, made by the
-        # calling thread and kept across draws: an array made or freed in
-        # the helper would stay in a malloc arena of its own, and one made
-        # per draw costs page faults in both threads
+        # chunk scratch for the calling thread and the pool's worker, made
+        # by the calling thread and kept across draws: an array made or
+        # freed in the worker would stay in a malloc arena of its own, and
+        # one made per draw costs page faults in both threads
         self._scratch = _scratch(0, threads=2)
         self._ahead: _Ahead | None = None
 
@@ -158,7 +159,7 @@ class CounterRng:
         second half the angle. Normal i < ceil(n/2) is the cosine of pair
         i, the rest are the sines. The pairs are computed `_CHUNK` at a
         time. A draw of at least `_SPLIT_MIN_VALUES` values on two or more
-        CPUs shares its chunks with a helper thread: the scope's helper
+        CPUs shares its chunks with a one-thread pool: the scope's pool
         inside `ahead`, else one started and joined for this draw alone.
         The bits are the same either way.
         """
@@ -187,10 +188,11 @@ class CounterRng:
     @contextlib.contextmanager
     def ahead(self, draws: int):
         """A scope for a run of `draws` normal draws, such as a reverse
-        walk's: one helper thread, started at the first draw that shares
-        its chunks, computes each next draw while the caller uses the one
-        before, and never a draw past the `draws`-th. The helper is
-        stopped and joined on leaving the scope, however it is left.
+        walk's: one pool of one thread, started at the first draw that
+        shares its chunks, computes each next draw while the caller uses
+        the one before, and never a draw past the `draws`-th. Its pending
+        chunks are cancelled and its thread joined on leaving the scope,
+        however it is left.
         Inside a scope already open, this adds nothing."""
         if self._ahead is not None:
             yield
@@ -207,111 +209,57 @@ class CounterRng:
         return self.normals(n).reshape(shape)
 
 
-class _Draw:
-    """One m-pair normal draw at word `start`, in chunks of `_CHUNK` pairs:
-    `taken` chunks are claimed, `busy` of them are still being computed,
-    and `failed` holds what a chunk raised."""
-
-    def __init__(self, start: int, m: int):
-        self.start, self.m = start, m
-        self.out = np.empty(2 * m)
-        self.chunks = -(-m // _CHUNK)
-        self.taken = self.busy = 0
-        self.failed: BaseException | None = None
-
-    def discard(self) -> None:
-        # under the scope's cond: nobody claims a chunk of it any more
-        self.taken = self.chunks
-
-
 class _Ahead:
-    """The draws of one `CounterRng.ahead` scope and their helper thread.
+    """The draws of one `CounterRng.ahead` scope and the one-thread pool
+    that computes their chunks.
 
-    `current` is the draw being taken, `next` the one computed ahead for
-    the next position. The helper claims chunks of `current` first, then of
-    `next`. Every field is read and written under `cond`.
+    `next` is the draw submitted for the next position, as (start, m),
+    its output and its chunk futures, or None.
     """
 
     def __init__(self, rng: CounterRng, draws: int):
         self.rng = rng
         self.left = draws
-        self.cond = threading.Condition()
-        self.current: _Draw | None = None
-        self.next: _Draw | None = None
-        self.stop = False
-        self.thread: threading.Thread | None = None
+        self.pool = None
+        self.next: tuple | None = None
+
+    def _submit(self, start: int, m: int) -> tuple:
+        # the pool's scratch row is taken now: the caller may grow the
+        # scratch before a later draw while this one's chunks still run
+        out, scratch = np.empty(2 * m), self.rng._scratch[1]
+        return (start, m), out, [
+            self.pool.submit(self.rng._pairs, start, m, lo,
+                             min(lo + _CHUNK, m), out, scratch)
+            for lo in range(0, m, _CHUNK)]
 
     def take(self, start: int, m: int) -> np.ndarray:
-        """The m-pair draw at `start`, computed with the helper: the draw
-        computed ahead if it is that one, else a fresh one. What any of its
-        chunks raised is raised here."""
-        self.rng._scratch_for(m)
-        with self.cond:
-            draw = self.next
-            if draw is None or (draw.start, draw.m) != (start, m):
-                if draw is not None:
-                    draw.discard()
-                draw = _Draw(start, m)
-            self.current = draw
-            self.left -= 1
-            self.next = _Draw(start + 2 * m, m) if self.left > 0 else None
-            self.cond.notify_all()
-        if self.thread is None:
-            self.thread = threading.Thread(target=self._help)
-            self.thread.start()
-        self._work(draw, 0)
-        with self.cond:
-            while draw.busy:
-                self.cond.wait()
-        if draw.failed is not None:
-            raise draw.failed
-        return draw.out
-
-    def _work(self, draw: _Draw, row: int) -> None:
-        """Compute chunks of `draw` with scratch `row` until none is left
-        to claim; a chunk that raises leaves the rest unclaimed."""
-        while True:
-            with self.cond:
-                if draw.taken == draw.chunks:
-                    return
-                lo = draw.taken * _CHUNK
-                draw.taken += 1
-                draw.busy += 1
-                scratch = self.rng._scratch[row]
-            try:
-                self.rng._pairs(draw.start, draw.m, lo,
-                                min(lo + _CHUNK, draw.m), draw.out, scratch)
-            except BaseException as exc:  # re-raised by `take`
-                with self.cond:
-                    if draw.failed is None:
-                        draw.failed = exc
-                    draw.discard()
-            finally:
-                with self.cond:
-                    draw.busy -= 1
-                    self.cond.notify_all()
-
-    def _help(self) -> None:
-        while True:
-            with self.cond:
-                while not self.stop:
-                    draw = next((d for d in (self.current, self.next)
-                                 if d is not None and d.taken < d.chunks),
-                                None)
-                    if draw is not None:
-                        break
-                    self.cond.wait()
-                else:
-                    return
-            self._work(draw, 1)
+        """The m-pair draw at `start`, computed with the pool: the draw
+        submitted ahead if it is that one, else a fresh one. This thread
+        computes every chunk the pool has not started; what any chunk
+        raised is raised here."""
+        scratch = self.rng._scratch_for(m)[0]
+        if self.pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self.pool = ThreadPoolExecutor(1)
+        draw = self.next
+        if draw is not None and draw[0] != (start, m):
+            for future in draw[2]:  # ahead for a draw not asked for
+                future.cancel()
+            draw = None
+        draw = draw or self._submit(start, m)
+        self.left -= 1
+        self.next = self._submit(start + 2 * m, m) if self.left > 0 else None
+        _, out, futures = draw
+        for lo, future in zip(range(0, m, _CHUNK), futures):
+            if future.cancel():
+                self.rng._pairs(start, m, lo, min(lo + _CHUNK, m), out,
+                                scratch)
+        for future in futures:
+            if not future.cancelled():
+                future.result()
+        return out
 
     def close(self) -> None:
-        """Stop the helper after its chunk in hand, and join it."""
-        with self.cond:
-            self.stop = True
-            for draw in (self.current, self.next):
-                if draw is not None:
-                    draw.discard()
-            self.cond.notify_all()
-        if self.thread is not None:
-            self.thread.join()
+        """Cancel the chunks not started and join the pool's thread."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)

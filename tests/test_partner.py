@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +150,23 @@ def test_a_failed_chain_leaves_no_partner_and_no_pipe(monkeypatch, cpus,
     assert _fds() == fds
 
 
+@pytest.mark.parametrize("count", [1, 2], ids=["one part", "partner"])
+def test_no_field_is_made_for_after_the_last_step(monkeypatch, cpus, count):
+    # the field fetched at a step is the next step's: the last has none
+    u0, sch = _image((1, 192, 192)), _ladder(192, 0.1)
+    forks = cpus(count)
+    real, steps = TurbulenceGenerator.generate, []
+
+    def generate(self, step, target_rms):
+        steps.append(step)
+        return real(self, step, target_rms)
+    monkeypatch.setattr(TurbulenceGenerator, "generate", generate)
+    forward_chain(u0, sch, 7, sink=lambda snap: None)
+    assert steps == list(range(sch.lattice_steps - 1))
+    assert len(forks) == count - 1
+    _no_child_left()
+
+
 def test_no_partner_on_one_cpu_or_beside_a_thread(cpus):
     u0, sch = _image((1, 192, 192)), _ladder(192, 0.0)
     forks = cpus(1)
@@ -228,7 +246,7 @@ def test_only_a_lone_chain_worker_starts_a_partner(monkeypatch, cpus,
 
 def _rss_kb():
     fields = dict(line.split(":", 1) for line in
-                  open("/proc/self/status").read().splitlines())
+                  Path("/proc/self/status").read_text().splitlines())
     return {k: int(fields[k].split()[0]) for k in ("VmRSS", "RssShmem")}
 
 
