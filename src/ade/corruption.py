@@ -7,8 +7,10 @@ to disk holding one snapshot. The channels of an image step as one lattice
 state: they evolve independently but share the velocity field, generated
 once per step. On two or more CPUs, a large image's lattice is stepped
 by the calling process and a forked partner process (`_Partner`), half
-of its rows each, meeting at a polled barrier after every step; the bits
-are those of one process, and a partner that dies costs time, not bytes.
+of its rows each, through the same `solver_step`, meeting at a polled
+barrier after every step; the partner is told only when to step, and
+takes the velocity field from the step number. The bits are those of one
+process, and a partner that dies costs time, not bytes.
 A dataset's images do not depend on each other (image i has the seed
 (seed, i)), so `precompute_dataset` runs them with `procs._fork_map`, in
 the calling process and up to one forked child per further CPU, each
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import EngineError, ShapeMismatchError, ValidationError
 from .lattice import (VelocityField, _aligned, apply_bounce_back, collide,
-                      fill_rest, init_from_image, solver_step, stream)
+                      fill_rest, init_from_image, solver_step)
 from .rng import CounterRng, derive_seed
 from .schedule import DiffusionSchedule
 from .turbulence import TurbulenceGenerator, TurbulenceSpec
@@ -133,8 +135,8 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
                             fill=not split)
     height, width = state.shape
     k_chain = schedule.chain_length
-    flows = (None,)
-
+    # the field each step fetches, here and (`fetch`) in a partner
+    provider = fetch = lambda step: None  # noqa: E731  no flow
     if schedule.peclet > 0.0 and schedule.lattice_steps > 0:
         if height != width:
             raise ValidationError(
@@ -149,9 +151,7 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
         provider = lambda step: (  # noqa: E731
             None if step == last else gen.generate(step, float(rms[step])))
         if split:
-            provider, flows = _shared_flows(provider, state.shape)
-    else:
-        provider = lambda step: None  # noqa: E731  no flow
+            provider, fetch = _shared_flows(provider, state.shape)
 
     chain = None
     if sink is None:
@@ -162,7 +162,7 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
     # each snapshot is the state's macroscopic field, which every step
     # writes. A zero-step level repeats the snapshot before it: at the
     # start that is u0 itself, which the sum over f only approximates
-    with (_Partner(state, u0, taus, flows) if split
+    with (_Partner(state, u0, taus, fetch) if split
           else contextlib.nullcontext()) as partner:
         step = functools.partial(solver_step, state)
         if partner is not None:
@@ -179,22 +179,21 @@ def forward_chain(u0: np.ndarray, schedule: DiffusionSchedule, seed: int,
 
 
 def _shared_flows(provider: Callable, shape: tuple[int, int]):
-    """(`provider` copying each field into shared memory, the fields it
-    returns): None, then the two slots; the field fetched at step g goes
-    to slot g % 2, while the steps of g read the field of slot (g - 1) % 2
-    or None."""
-    slots = _aligned((2, 2) + shape, np.float64, shared=True)
-    flows = (None,) + tuple(VelocityField(*slot) for slot in slots)
+    """(`provider` copying each field into shared memory, the partner's
+    provider): the field fetched at step g goes to slot g % 2, which the
+    partner's provider returns at step g, so the steps of g read the field
+    of slot (g - 1) % 2 or None in both processes."""
+    slots = tuple(VelocityField(*slot) for slot in
+                  _aligned((2, 2) + shape, np.float64, shared=True))
 
     def shared(step: int) -> VelocityField | None:
         vel = provider(step)
         if vel is None:
             return None
-        flow = flows[1 + step % 2]
-        for to, frm in zip(flow, vel):
+        for to, frm in zip(slots[step % 2], vel):
             np.copyto(to, frm)
-        return flow
-    return shared, flows
+        return slots[step % 2]
+    return shared, lambda step: slots[step % 2]
 
 
 class _Partner(procs._Child):
@@ -203,11 +202,14 @@ class _Partner(procs._Child):
 
     On `start` each process sets its own part's rows to the rest
     equilibrium of u0, and the partner sends a byte once its rows are set.
-    `step` sends the partner one byte, the index in `flows` of the field
-    the step collides with, steps part 0 here, fetches the next field and
-    waits for the partner's byte: a barrier, as the next step pulls from
-    the rows of both parts. Between steps the partner waits for its byte,
-    so the caller may read `u` whole. A partner that is gone, at any
+    `step` sends the partner a byte, which says only "go", steps part 0
+    here, fetching the next field, and waits for the partner's byte: a
+    barrier, as the next step pulls from the rows of both parts. The
+    partner steps part 1 with `solver_step` too, fetching with `fetch`,
+    which reads the step's field from the slot this process's provider
+    copied it to (see `_shared_flows`), or returns None without a flow.
+    Between steps the partner waits for its byte, so the caller may read
+    `u` whole. A partner that is gone, at any
     point, or was never forked, has its rows set, and those of that step
     and of every later one stepped, here, from u0 or from `f`, which no
     step writes: it costs time, not bytes. So does one that is let go:
@@ -219,11 +221,11 @@ class _Partner(procs._Child):
     placed = True
 
     def __init__(self, state, u0: np.ndarray, taus: np.ndarray,
-                 flows: tuple):
+                 fetch: Callable):
         # the partner's steps hold the state, not this object: a cycle
         # through it would keep the shared buffers mapped until a collection
-        super().__init__(functools.partial(_serve, state, u0, taus, flows))
-        self.state, self.u0, self.flows = state, u0, flows
+        super().__init__(functools.partial(_serve, state, u0, taus, fetch))
+        self.state, self.u0 = state, u0
         self.worked = self.waited = 0.0  # seconds, in steps and barriers
 
     def start(self) -> None:
@@ -239,8 +241,7 @@ class _Partner(procs._Child):
         # a partner gone already is seen at the barrier below
         if self.pid is not None:
             with contextlib.suppress(BrokenPipeError):
-                os.write(self.send, bytes([next(
-                    i for i, flow in enumerate(self.flows) if flow is vel)]))
+                os.write(self.send, b"\0")
         start = time.perf_counter()
         solver_step(state, provider, tau, g)
         own = time.perf_counter()
@@ -259,19 +260,16 @@ class _Partner(procs._Child):
             owed()
 
 
-def _serve(state, u0: np.ndarray, taus: np.ndarray, flows: tuple, go: int,
-           done: int) -> None:
+def _serve(state, u0: np.ndarray, taus: np.ndarray, fetch: Callable,
+           go: int, done: int) -> None:
     """The partner's side of `_Partner`: part 1's rows, then its steps."""
     fill_rest(state, u0, 1)
     os.write(done, b"\0")
     os.set_blocking(go, False)
-    for tau in taus:
-        flow = procs._await(go)
-        if not flow:
+    for g, tau in enumerate(taus):
+        if not procs._await(go):
             return
-        stream(state)
-        collide(state, flows[flow[0]], float(tau), 1)
-        apply_bounce_back(state, 1)
+        solver_step(state, fetch, float(tau), g, 1)
         os.write(done, b"\0")
 
 

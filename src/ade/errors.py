@@ -30,7 +30,7 @@ class DegenerateDomainError(ValidationError):
 
 
 class ScheduleError(ValidationError):
-    """Corruption levels are not monotonically increasing."""
+    """Corruption levels decrease, or their plan is too long to hold."""
 
 
 class FitError(EngineError):

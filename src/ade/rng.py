@@ -8,19 +8,19 @@ draws. All integer arithmetic is uint64 with wraparound.
 The same holds inside one normal draw: each Box-Muller pair is an
 elementwise function of its two words, so any range of a draw's pairs can
 be computed apart and its bits do not depend on where the range is cut.
-`CounterRng.normals` computes a draw in chunks of `_CHUNK` pairs. A large
-draw on two or more CPUs shares its chunks with a pool of one worker
-thread, numpy releasing the GIL in its loops; inside
-`CounterRng.ahead(draws)`, the scope a reverse walk enters, one pool serves
-the whole walk. Each draw's chunks are submitted to it, with those of the
-next draw of the same size at the next position behind them, and the
-caller computes every chunk of its own draw that the worker has not
-started, cancelling it in the pool, while the worker goes on to the next
-draw. Small draws, and every draw on one CPU (counted by `procs._cpus`,
-as for every process a command starts), are computed by the caller alone
-and start no thread. The bits and `position` do not depend on any of it:
-the position moves only when a caller takes a draw, and a draw computed
-ahead for another position or size is cancelled and discarded.
+`CounterRng.normals` computes a draw in chunks of `_CHUNK` pairs. Inside
+`CounterRng.ahead(draws)`, the scope a reverse walk enters, a large draw
+on two or more CPUs shares its chunks with a pool of one worker thread
+that serves the whole walk, numpy releasing the GIL in its loops. Each
+draw's chunks are submitted to it, with those of the next draw of the
+same size at the next position behind them, and the caller computes
+every chunk of its own draw that the worker has not started, cancelling
+it in the pool, while the worker goes on to the next draw. Every other
+draw is computed by the caller alone and starts no thread: one outside a
+scope, a small one, and any on one CPU (counted by `procs._cpus`, as for
+every process a command starts). The bits and `position` do not depend on
+any of it: the position moves only when a caller takes a draw, and a draw
+computed ahead for another position or size is cancelled and discarded.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 
-# draw size from which `normals` shares the draw with a worker thread:
-# below it, starting the thread costs about what the worker saves
+# draw size from which `normals` shares a draw with a scope's worker
+# thread: below it, the worker costs about what it saves
 _SPLIT_MIN_VALUES = 2**17
 
 # Box-Muller pairs per chunk of a draw: a chunk's scratch, four rows of
@@ -158,21 +158,19 @@ class CounterRng:
         Consumes 2*ceil(n/2) words: the first half feed the radius, the
         second half the angle. Normal i < ceil(n/2) is the cosine of pair
         i, the rest are the sines. The pairs are computed `_CHUNK` at a
-        time. A draw of at least `_SPLIT_MIN_VALUES` values on two or more
-        CPUs shares its chunks with a one-thread pool: the scope's pool
-        inside `ahead`, else one started and joined for this draw alone.
-        The bits are the same either way.
+        time. Inside `ahead`, a draw of at least `_SPLIT_MIN_VALUES` values
+        on two or more CPUs shares its chunks with the scope's one-thread
+        pool; any other draw is computed here. The bits are the same
+        either way.
         """
         m = (n + 1) // 2
-        if n < _SPLIT_MIN_VALUES or procs._cpus() < 2:
+        if (self._ahead is None or n < _SPLIT_MIN_VALUES
+                or procs._cpus() < 2):
             out = np.empty(2 * m)
             scratch = self._scratch_for(m)[0]
             for lo in range(0, m, _CHUNK):
                 self._pairs(self.position, m, lo, min(lo + _CHUNK, m), out,
                             scratch)
-        elif self._ahead is None:
-            with self.ahead(1):
-                return self.normals(n)
         else:
             out = self._ahead.take(self.position, m)
         self.position += 2 * m

@@ -173,9 +173,17 @@ class DiffusionSchedule:
         tau and target_rms have one entry per lattice step; boundaries has
         K + 1 entries, boundaries[i] being the global step index at which
         snapshot i is taken (boundaries[0] == 0 is the clean state).
+        A plan whose arrays cannot be allocated raises ScheduleError.
         """
-        taus = [np.full(iv.n_steps, iv.tau) for iv in self.intervals]
-        rms = [np.full(iv.n_steps, iv.target_rms) for iv in self.intervals]
+        try:
+            taus = np.concatenate([np.full(iv.n_steps, iv.tau)
+                                   for iv in self.intervals])
+            rms = np.concatenate([np.full(iv.n_steps, iv.target_rms)
+                                  for iv in self.intervals])
+        except (MemoryError, ValueError) as exc:
+            raise ScheduleError(
+                f"cannot allocate the per-step arrays of "
+                f"{self.lattice_steps} lattice steps: {exc}") from exc
         counts = [iv.n_steps for iv in self.intervals]
         boundaries = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-        return (np.concatenate(taus), np.concatenate(rms), boundaries)
+        return taus, rms, boundaries

@@ -32,3 +32,25 @@ def test_the_report_records_the_machine_and_each_variant(tmp_path, capsys):
         assert entry[variant]["iqr_ms"] == 0.0
     assert case in capsys.readouterr().out
 
+
+
+def test_each_kernel_runs_at_a_tiny_size():
+    start = time.perf_counter()
+    for case in layers.KERNELS:
+        seconds, faults = layers.measure_kernel(case, calls=1, tiny=True)
+        assert seconds > 0 and faults >= 0
+    assert time.perf_counter() - start < 3.0
+
+
+def test_the_report_records_a_kernel_case_with_its_faults(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    case = "normals_ahead_3x256"
+    assert layers.main(["--tiny", "--runs", "1", "--calls", "1", "--case",
+                        case, "--json-out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    entry = report["kernels"][case]
+    assert entry["median_us"] > 0 and entry["iqr_us"] == 0.0
+    assert entry["calls"] == layers.KERNEL_CALLS  # at least, whatever --calls
+    assert entry["minor_faults_per_call"] >= 0
+    assert report["cases"] == {}
+    assert case in capsys.readouterr().out

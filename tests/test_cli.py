@@ -407,6 +407,18 @@ def test_failed_run_keeps_an_existing_out_dir(workdir, capsys):
     assert (workdir / "o").is_dir()
 
 
+def test_a_ladder_too_long_to_plan_is_one_error_line(tmp_path, run_ade):
+    # about 1.2e19 lattice steps, past intp: no allocation is attempted
+    (tmp_path / "a.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    proc = run_ade(["corrupt", "--in", "a.pgm", "--out", "o",
+                    "--sigma-min", "1e9", "--sigma-max", "2e9"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ade: error: ScheduleError: ")
+    assert proc.stderr.count("\n") == 1
+    assert "lattice steps" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_overflowing_tensor_header_is_one_error_line(workdir, capsys):
     # dims (2**32, 2**32) multiply to 0 in int64: an empty payload
     header = io.MAGIC + struct.pack("<IBI", io.VERSION, 1, 2)

@@ -201,6 +201,29 @@ def test_each_lattice_step_calls_each_phase_once(monkeypatch, peclet):
     assert calls == {name: [16 * 16] * sch.lattice_steps for name in calls}
 
 
+@pytest.mark.parametrize("peclet", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("parts", [1, 2], ids=["one part", "partner"])
+def test_a_chain_is_linear_in_its_field(cpus, parts, peclet):
+    # with the seed, the ladder and so the flow fixed, no step depends on u:
+    # collide is linear in the populations, and walls and pulls are copies
+    if parts == 2 and not hasattr(os, "fork"):
+        pytest.skip("the partner is forked")
+    n, cap = (32, 1e-3) if parts == 1 else (192, 5e-4)
+    forks = cpus(parts)
+    ladder = (sigma_to_fo(0.5, n), sigma_to_fo(2.0, n), 4, float(n))
+    sch = DiffusionSchedule.build(*ladder, peclet=peclet, cap=cap)
+    if peclet == 1.0:  # the Pe term, not the diffusion, sets the steps
+        assert sch.lattice_steps > DiffusionSchedule.build(
+            *ladder, cap=cap).lattice_steps
+    x, y = _field(31, n, -1.0, 2.0), _field(32, n)
+    mixed = 0.7 * x - 1.3 * y
+    got = forward_chain(mixed, sch, 5).snapshots
+    want = (0.7 * forward_chain(x, sch, 5).snapshots
+            - 1.3 * forward_chain(y, sch, 5).snapshots)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(mixed).max()
+    assert len(forks) == 3 * (parts - 1)
+
+
 def test_channels_share_the_velocity_field():
     sch = _schedule(peclet=0.2)
     u0 = np.stack([_field(5), _field(5), _field(5)])

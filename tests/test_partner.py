@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ade import corruption, io, procs
+from ade import corruption, io, lattice, procs
 from ade.corruption import forward_chain, precompute_dataset
 from ade.errors import ValidationError
 from ade.lattice import LatticeState
@@ -105,13 +105,14 @@ def test_a_partner_that_costs_more_than_it_saves_is_let_go(monkeypatch,
     alone = _chain(u0, sch, np.float64)
     forks = cpus(2)
     parent = os.getpid()
-    real = corruption.collide
+    real = lattice.collide
 
     def slow(*args):
         if os.getpid() != parent:  # the partner's steps
             time.sleep(0.005)
         real(*args)
-    monkeypatch.setattr(corruption, "collide", slow)
+    # `solver_step`'s collide, in both processes
+    monkeypatch.setattr(lattice, "collide", slow)
     rows, let_go = [], []
     close = corruption._Partner.close
 

@@ -152,7 +152,8 @@ def test_threads_drawing_from_their_own_rngs_get_the_bits_of_one_thread(
 
     def draw(seed):
         r = CounterRng(seed, 0)
-        got[seed] = [r.normals(n).tobytes() for n in sizes * 4]
+        with r.ahead(len(sizes) * 4):
+            got[seed] = [r.normals(n).tobytes() for n in sizes * 4]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -167,3 +168,28 @@ def test_threads_drawing_from_their_own_rngs_get_the_bits_of_one_thread(
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == expect
+
+
+def test_a_draw_outside_a_scope_starts_no_thread(monkeypatch, cpus):
+    # only an `ahead` scope shares a draw with a thread; a lone draw, however
+    # large and on however many CPUs, is computed by its caller
+    cpus(2)
+    made, started = [], []
+    init, start = ade_rng._Ahead.__init__, threading.Thread.start
+
+    def spy_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def spy_start(self):
+        started.append(self)
+        start(self)
+    monkeypatch.setattr(ade_rng._Ahead, "__init__", spy_init)
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    threads = threading.active_count()
+    r = CounterRng(9, 2, position=31)
+    got = r.normals(2**18)
+    assert made == [] and started == []
+    assert threading.active_count() == threads
+    assert got.tobytes() == _formula_normals(9, 2, 31, 2**18).tobytes()
+    assert r.position == 31 + 2**18

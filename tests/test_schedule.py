@@ -135,3 +135,18 @@ def test_tau_cap_is_respected():
     for tau_max in (0.5, 0.4, np.nan):
         with pytest.raises(StabilityError, match="tau must exceed 1/2"):
             DiffusionSchedule.from_levels([0.02], 64.0, tau_max=tau_max)
+
+
+def test_a_plan_too_long_to_hold_is_a_schedule_error(monkeypatch):
+    # 16 nodes, sigma 1e9 -> 2e9: about 1.2e19 steps, past intp
+    sch = DiffusionSchedule.build(schedule.sigma_to_fo(1e9, 16.0),
+                                  schedule.sigma_to_fo(2e9, 16.0), 8, 16.0)
+    with pytest.raises(ScheduleError, match=f"{sch.lattice_steps} lattice"):
+        sch.per_step()
+    small = DiffusionSchedule.build(1e-3, 1e-2, 3, 16.0)
+
+    def full(*args, **kwargs):
+        raise MemoryError("no room")
+    monkeypatch.setattr(np, "full", full)
+    with pytest.raises(ScheduleError, match=f"{small.lattice_steps} lattice"):
+        small.per_step()
